@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the simulator's hot paths: these bound how fast
 //! whole-cluster simulations can run (the 128 MB Select pushes ~17 M
-//! events and ~6 M cache accesses through these structures).
+//! events and ~6 M cache accesses through these structures), plus the
+//! construction of a host L2 and a 1024-host fat tree, which bound how
+//! fast a large cluster can be set up.
 //! Plain `main()` harness — no external deps.
 
 use std::hint::black_box;
@@ -10,6 +12,7 @@ use asan_apps::dfa::LiteralDfa;
 use asan_apps::md5::md5;
 use asan_mem::cache::{AccessKind, Cache, CacheConfig};
 use asan_mem::hierarchy::{HierarchyConfig, MemoryHierarchy};
+use asan_net::topo::TopoSpec;
 use asan_sim::{EventQueue, SimRng, SimTime};
 
 fn bench(name: &str, iters: u32, mut f: impl FnMut() -> u64) {
@@ -27,11 +30,15 @@ fn bench(name: &str, iters: u32, mut f: impl FnMut() -> u64) {
 fn main() {
     println!("== micro: simulator hot paths ==");
 
+    // The 1024-bucket ring is built once: only push+pop is timed. Each
+    // batch starts where the last drained, as a running simulation does.
+    let mut q = EventQueue::new();
+    let mut base = 0u64;
     bench("event_queue_push_pop_1k", 200, || {
-        let mut q = EventQueue::new();
         for i in 0..1000u64 {
-            q.push(SimTime::from_ns(i * 7 % 503), i);
+            q.push(SimTime::from_ns(base + i * 7 % 503), i);
         }
+        base += 503;
         let mut acc = 0u64;
         while let Some((_, v)) = q.pop() {
             acc = acc.wrapping_add(v);
@@ -62,6 +69,17 @@ fn main() {
             t = t + out.stall + asan_sim::SimDuration::from_ns(1);
         }
         stall
+    });
+
+    bench("cache_new_host_l2", 2000, || {
+        let c = Cache::new(CacheConfig::host_l2());
+        black_box(&c);
+        c.config().size_bytes
+    });
+
+    bench("fat_tree_r16_1024_build", 10, || {
+        let (fabric, _) = TopoSpec::fat_tree(16, 1024, 1).build();
+        fabric.num_nodes() as u64
     });
 
     let mut rng = SimRng::from_seed(7);

@@ -171,14 +171,18 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Recency stamp; larger = more recently used.
-    lru: u64,
-}
+/// One cache line packed into two words, `[tag | VALID | DIRTY, lru]`,
+/// where `lru` is the recency stamp (larger = more recently used).
+///
+/// The flags live in the top two bits of the tag word, which
+/// [`Cache::new`] proves no tag can reach. An all-zero line is therefore
+/// an invalid one, so a cold cache is one zeroed allocation, which the
+/// allocator can serve from fresh pages left untouched until first use.
+type Line = [u64; 2];
+
+const VALID: u64 = 1 << 63;
+const DIRTY: u64 = 1 << 62;
+const TAG: u64 = !(VALID | DIRTY);
 
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement.
@@ -194,10 +198,13 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig, // asan-lint: allow(snapshot-completeness)
-    sets: Vec<Vec<Line>>,
+    /// Every line, set-major: set `s` is `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
     stamp: u64,
     stats: CacheStats,
+    ways: usize,     // asan-lint: allow(snapshot-completeness)
     line_shift: u32, // asan-lint: allow(snapshot-completeness)
+    tag_shift: u32,  // asan-lint: allow(snapshot-completeness)
     set_mask: u64,   // asan-lint: allow(snapshot-completeness)
 }
 
@@ -207,17 +214,26 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (see
-    /// [`CacheConfig::num_sets`]).
+    /// [`CacheConfig::num_sets`]), or if the line offset and set index
+    /// together span fewer than two address bits, which would leave no
+    /// room for the line flags above the tag.
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         assert!(num_sets.is_power_of_two(), "set count must be 2^k");
-        let sets = vec![vec![Line::default(); cfg.assoc]; num_sets as usize];
         let line_shift = cfg.line_bytes.trailing_zeros();
+        let tag_shift = num_sets.trailing_zeros();
+        assert!(
+            line_shift + tag_shift >= 2,
+            "cache {}: tags need the top two address bits free for line flags",
+            cfg.name
+        );
         Cache {
+            lines: vec![[0; 2]; num_sets as usize * cfg.assoc],
+            ways: cfg.assoc,
             set_mask: num_sets - 1,
             line_shift,
+            tag_shift,
             cfg,
-            sets,
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -239,27 +255,39 @@ impl Cache {
         addr >> self.line_shift << self.line_shift
     }
 
+    /// The set index of `addr` and the tag word a valid line holding it
+    /// has, ignoring [`DIRTY`].
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         (
             (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
+            line >> self.tag_shift | VALID,
         )
+    }
+
+    #[inline]
+    fn set(&self, set_idx: usize) -> &[Line] {
+        &self.lines[set_idx * self.ways..(set_idx + 1) * self.ways]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, set_idx: usize) -> &mut [Line] {
+        &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways]
     }
 
     /// Presents an access; returns whether it hit and any dirty eviction.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
-        let (set_idx, tag) = self.index(addr);
+        let (set_idx, key) = self.index(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = &mut self.sets[set_idx];
+        let dirty = if kind == AccessKind::Write { DIRTY } else { 0 };
+        let (tag_shift, line_shift) = (self.tag_shift, self.line_shift);
+        let set = self.set_mut(set_idx);
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = stamp;
-            if kind == AccessKind::Write {
-                line.dirty = true;
-            }
+        if let Some(line) = set.iter_mut().find(|l| l[0] & !DIRTY == key) {
+            line[0] |= dirty;
+            line[1] = stamp;
             self.stats.hits.inc();
             return AccessOutcome {
                 hit: true,
@@ -267,23 +295,21 @@ impl Cache {
             };
         }
 
-        self.stats.misses.inc();
         // Choose victim: an invalid way if one exists, else true LRU.
         let victim = set
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+            .min_by_key(|l| if l[0] & VALID != 0 { l[1] + 1 } else { 0 })
             .expect("assoc > 0");
-        let writeback = if victim.valid && victim.dirty {
+        let evicted = victim[0];
+        *victim = [key | dirty, stamp];
+        self.stats.misses.inc();
+        let writeback = if evicted & (VALID | DIRTY) == VALID | DIRTY {
             self.stats.writebacks.inc();
-            let victim_line = (victim.tag << self.set_mask.count_ones()) | set_idx as u64;
-            Some(victim_line << self.line_shift)
+            let victim_line = ((evicted & TAG) << tag_shift) | set_idx as u64;
+            Some(victim_line << line_shift)
         } else {
             None
         };
-        victim.tag = tag;
-        victim.valid = true;
-        victim.dirty = kind == AccessKind::Write;
-        victim.lru = stamp;
         AccessOutcome {
             hit: false,
             writeback,
@@ -305,30 +331,32 @@ impl Cache {
 
     /// Checks residency without updating LRU or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (set_idx, key) = self.index(addr);
+        self.set(set_idx).iter().any(|l| l[0] & !DIRTY == key)
     }
 
     /// Invalidates the line containing `addr` if present, returning
     /// whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        for l in &mut self.sets[set_idx] {
-            if l.valid && l.tag == tag {
-                l.valid = false;
-                return std::mem::take(&mut l.dirty);
+        let (set_idx, key) = self.index(addr);
+        match self
+            .set_mut(set_idx)
+            .iter_mut()
+            .find(|l| l[0] & !DIRTY == key)
+        {
+            Some(line) => {
+                let dirty = line[0] & DIRTY != 0;
+                line[0] &= TAG;
+                dirty
             }
+            None => false,
         }
-        false
     }
 
     /// Invalidates everything (e.g. between benchmark configurations).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                l.valid = false;
-                l.dirty = false;
-            }
+        for line in &mut self.lines {
+            line[0] &= TAG;
         }
     }
 
@@ -338,13 +366,11 @@ impl Cache {
     pub fn snapshot(&self, w: &mut SnapWriter) {
         w.u64(self.stamp);
         self.stats.snapshot(w);
-        for set in &self.sets {
-            for line in set {
-                w.u64(line.tag);
-                w.bool(line.valid);
-                w.bool(line.dirty);
-                w.u64(line.lru);
-            }
+        for &[word, lru] in &self.lines {
+            w.u64(word & TAG);
+            w.bool(word & VALID != 0);
+            w.bool(word & DIRTY != 0);
+            w.u64(lru);
         }
     }
 
@@ -353,13 +379,14 @@ impl Cache {
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stamp = r.u64()?;
         self.stats = CacheStats::restore(r)?;
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = r.u64()?;
-                line.valid = r.bool()?;
-                line.dirty = r.bool()?;
-                line.lru = r.u64()?;
+        for line in &mut self.lines {
+            let tag = r.u64()?;
+            if tag & !TAG != 0 {
+                return Err(SnapError::Malformed("cache tag overlaps the line flags"));
             }
+            let valid = if r.bool()? { VALID } else { 0 };
+            let dirty = if r.bool()? { DIRTY } else { 0 };
+            *line = [tag | valid | dirty, r.u64()?];
         }
         Ok(())
     }
@@ -406,6 +433,89 @@ mod tests {
             );
         }
         assert_eq!(back.stats().writebacks.get(), c.stats().writebacks.get());
+    }
+
+    /// Invalid lines keep their tag and recency in the snapshot stream;
+    /// pin the bytes after hits, dirty evictions, invalidations and a
+    /// flush so the encoding cannot drift.
+    #[test]
+    fn snapshot_bytes_are_stable() {
+        let hash = |c: &Cache| {
+            let mut w = SnapWriter::new();
+            c.snapshot(&mut w);
+            w.into_bytes()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+                })
+        };
+        let mut c = tiny();
+        for (i, addr) in [0u64, 16, 128, 256, 64, 80, 0, 384, 48, 208, 16, 512]
+            .into_iter()
+            .enumerate()
+        {
+            let kind = if i % 3 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            c.access(addr, kind);
+        }
+        c.invalidate(384);
+        c.invalidate(80);
+        let live = hash(&c);
+        c.flush();
+        c.access(208, AccessKind::Write);
+        assert_eq!(
+            [live, hash(&c)],
+            [0x85e7_5525_625f_bbd3, 0xa215_06c8_cc31_64b9]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "top two address bits free")]
+    fn geometry_without_room_for_flags_is_rejected() {
+        // 1-byte lines and 2 sets: tags would span 63 address bits.
+        Cache::new(CacheConfig {
+            name: "narrow",
+            size_bytes: 4,
+            line_bytes: 1,
+            assoc: 2,
+        });
+    }
+
+    #[test]
+    fn widest_tags_stay_clear_of_the_flags() {
+        // 1-byte lines and 4 sets: the smallest geometry `new` accepts,
+        // so the top address bits reach the top tag bit.
+        let mut c = Cache::new(CacheConfig {
+            name: "wide-tag",
+            size_bytes: 8,
+            line_bytes: 1,
+            assoc: 2,
+        });
+        let top = u64::MAX;
+        assert!(!c.access(top, AccessKind::Write).hit);
+        assert!(c.access(top, AccessKind::Read).hit);
+        assert!(!c.probe(top >> 1 | 3));
+        c.access(3, AccessKind::Read);
+        let out = c.access(7, AccessKind::Read);
+        assert_eq!(out.writeback, Some(top));
+    }
+
+    #[test]
+    fn restore_rejects_tags_overlapping_the_flags() {
+        let c = tiny();
+        let mut w = SnapWriter::new();
+        c.snapshot(&mut w);
+        let mut bytes = w.into_bytes();
+        // The first line's tag follows the envelope, the stamp and the
+        // three statistics counters; set its top bit.
+        let first_tag_end = bytes.len() - (c.lines.len() * 18) + 8;
+        bytes[first_tag_end - 1] |= 0x80;
+        let mut back = tiny();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert!(matches!(back.restore(&mut r), Err(SnapError::Malformed(_))));
     }
 
     #[test]

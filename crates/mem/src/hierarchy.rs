@@ -866,6 +866,90 @@ mod tests {
         assert!(wrong.restore(&mut r2).is_err());
     }
 
+    /// FNV-1a over a byte stream, to pin snapshot encodings compactly.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn snap_hash(snapshot: impl FnOnce(&mut SnapWriter)) -> u64 {
+        let mut w = SnapWriter::new();
+        snapshot(&mut w);
+        fnv(&w.into_bytes())
+    }
+
+    /// The snapshot encoding of every cache level and of the whole
+    /// hierarchy is part of the checkpoint format: a fixed access
+    /// sequence (conflict misses, dirty evictions, prefetches, code
+    /// fetches and TLB walks) must keep producing the same bytes.
+    #[test]
+    fn snapshot_bytes_are_stable() {
+        let cases = [
+            (
+                "host",
+                HierarchyConfig::host(),
+                [
+                    0x4de9_a3b1_921c_fbb2,
+                    0x1c31_9378_3c95_4598,
+                    0xac33_5833_8d80_f014,
+                    0x8ef2_6f4e_f45b_79f9,
+                ],
+            ),
+            (
+                "host_db",
+                HierarchyConfig::host_db(),
+                [
+                    0x4de9_a3b1_921c_fbb2,
+                    0x683d_936c_6900_b344,
+                    0x8e28_0dc6_cf99_962f,
+                    0x821d_8a38_1b70_c764,
+                ],
+            ),
+            (
+                "switch_cpu",
+                HierarchyConfig::switch_cpu(),
+                [
+                    0xa9a3_eff1_5f68_5fb2,
+                    0xbde5_200a_1367_e7f4,
+                    0,
+                    0x4ece_be1b_32ed_fc0e,
+                ],
+            ),
+        ];
+        for (name, cfg, pinned) in cases {
+            let mut m = MemoryHierarchy::new(cfg);
+            let mut t = SimTime::ZERO;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..6000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Half random over 8 MB, half a strided stream that
+                // conflicts in every level's sets.
+                let addr = if i % 2 == 0 {
+                    0x4000_0000 + (x & 0x7f_ffff)
+                } else {
+                    0x1000_0000 + (i % 97) * 16 * 1024 + (i % 5) * 8
+                };
+                let o = match x % 5 {
+                    0 | 1 => m.load(addr, t),
+                    2 => m.store(addr, t),
+                    3 => m.prefetch(addr, t),
+                    _ => m.ifetch(0x100 + (i % 300) * 4, t),
+                };
+                t = t + o.stall + SimDuration::from_ns(1 + x % 7);
+            }
+            let got = [
+                snap_hash(|w| m.l1i().snapshot(w)),
+                snap_hash(|w| m.l1d().snapshot(w)),
+                m.l2().map_or(0, |l2| snap_hash(|w| l2.snapshot(w))),
+                snap_hash(|w| m.snapshot(w)),
+            ];
+            assert_eq!(got, pinned, "{name}: [l1i, l1d, l2, hierarchy]");
+        }
+    }
+
     #[test]
     fn stats_track_access_kinds() {
         let mut m = host_no_tlb();

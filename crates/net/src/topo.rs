@@ -202,7 +202,10 @@ impl TopologyBuilder {
             return Err(TopoError::EmptyTopology);
         }
         let mut seen_pairs = BTreeSet::new();
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (neighbor, link idx)
+        // adj[a] lists (b, link b→a) in edge-insertion order: the BFS
+        // toward a destination needs the link back to the node it came
+        // from, not the one it leaves on.
+        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         let mut links = Vec::with_capacity(self.edges.len() * 2);
         for &(a, b, cfg) in &self.edges {
             if !seen_pairs.insert((a.min(b), a.max(b))) {
@@ -215,8 +218,8 @@ impl TopologyBuilder {
             links.push(Link::new(cfg));
             let ba = links.len();
             links.push(Link::new(cfg));
-            adj[a].push((b, ab));
-            adj[b].push((a, ba));
+            adj[a].push((b, ba));
+            adj[b].push((a, ab));
         }
         if n > 1 {
             for (i, kind) in self.kinds.iter().enumerate() {
@@ -225,38 +228,35 @@ impl TopologyBuilder {
                 }
             }
         }
-        // BFS from every destination fills the dense next-hop table
-        // `next_hop[from * n + dst] = (neighbor, link)`; `NO_ROUTE`
-        // marks from == dst. 8 bytes per entry keeps thousand-node
-        // fabrics in tens of megabytes.
+        // BFS from every destination fills its own contiguous row of the
+        // dense next-hop table, `next_hop[dst * n + from] = (neighbor,
+        // link)`; `NO_ROUTE` marks from == dst. 8 bytes per entry keeps
+        // thousand-node fabrics in tens of megabytes.
         let mut next_hop = vec![NO_ROUTE; n * n];
-        for dst in 0..n {
-            let mut visited = vec![false; n];
-            let mut q = VecDeque::new();
+        let mut visited = vec![false; n];
+        let mut queue = Vec::with_capacity(n);
+        for (dst, row) in next_hop.chunks_exact_mut(n).enumerate() {
+            visited.fill(false);
             visited[dst] = true;
-            q.push_back(dst);
-            while let Some(u) = q.pop_front() {
-                for &(v, _) in &adj[u] {
+            queue.clear();
+            queue.push(dst);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &(v, back) in &adj[u] {
                     if !visited[v] {
                         visited[v] = true;
                         // First hop from v toward dst goes to u.
-                        let link = adj[v]
-                            .iter()
-                            .find(|&&(nb, _)| nb == u)
-                            .map(|&(_, l)| l)
-                            .expect("symmetric adjacency");
-                        next_hop[v * n + dst] = (u as u32, link as u32);
-                        q.push_back(v);
+                        row[v] = (u as u32, back as u32);
+                        queue.push(v);
                     }
                 }
             }
-            for v in 0..n {
-                if v != dst && next_hop[v * n + dst] == NO_ROUTE {
-                    return Err(TopoError::Disconnected {
-                        from: NodeId(v as u16),
-                        to: NodeId(dst as u16),
-                    });
-                }
+            if let Some(from) = visited.iter().position(|&seen| !seen) {
+                return Err(TopoError::Disconnected {
+                    from: NodeId(from as u16),
+                    to: NodeId(dst as u16),
+                });
             }
         }
         Ok(Fabric {
@@ -753,8 +753,9 @@ pub struct Fabric {
     kinds: Vec<NodeKind>,                  // asan-lint: allow(snapshot-completeness)
     switch_specs: Vec<Option<SwitchSpec>>, // asan-lint: allow(snapshot-completeness)
     links: Vec<Link>,
-    /// `next_hop[from * n + dst] = (neighbor node, link index)`, dense,
-    /// [`NO_ROUTE`] on the diagonal.
+    /// `next_hop[dst * n + from] = (neighbor node, link index)`, dense,
+    /// destination-major (one BFS row per destination), [`NO_ROUTE`] on
+    /// the diagonal.
     next_hop: Vec<(u32, u32)>, // asan-lint: allow(snapshot-completeness)
     /// Credit-drain model (see [`TopologyBuilder::set_hop_backpressure`]).
     hop_backpressure: bool, // asan-lint: allow(snapshot-completeness)
@@ -787,7 +788,7 @@ impl Fabric {
     /// from `from` toward `dst`; `None` when `from == dst`.
     #[inline]
     fn route(&self, from: usize, dst: usize) -> Option<(usize, usize)> {
-        let (nb, link) = self.next_hop[from * self.kinds.len() + dst];
+        let (nb, link) = self.next_hop[dst * self.kinds.len() + from];
         if nb == u32::MAX {
             None
         } else {
@@ -1357,6 +1358,146 @@ mod tests {
         let s2 = iso.add_switch(SwitchSpec::paper()); // zero ports
         iso.connect(h1, s1, LinkConfig::paper());
         assert_eq!(iso.try_build().unwrap_err(), TopoError::IsolatedSwitch(s2));
+    }
+
+    /// The original route construction, kept as an oracle: one BFS per
+    /// destination with a fresh queue, filling a source-major table
+    /// (`[from * n + dst]`) and finding each back link by scanning the
+    /// discovered node's adjacency.
+    fn reference_routes(b: &TopologyBuilder) -> Result<Vec<(u32, u32)>, TopoError> {
+        let n = b.kinds.len();
+        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for (i, &(a, bn, _)) in b.edges.iter().enumerate() {
+            adj[a].push((bn, 2 * i));
+            adj[bn].push((a, 2 * i + 1));
+        }
+        let mut next_hop = vec![NO_ROUTE; n * n];
+        for dst in 0..n {
+            let mut visited = vec![false; n];
+            let mut q = VecDeque::new();
+            visited[dst] = true;
+            q.push_back(dst);
+            while let Some(u) = q.pop_front() {
+                for &(v, _) in &adj[u] {
+                    if !visited[v] {
+                        visited[v] = true;
+                        let link = adj[v]
+                            .iter()
+                            .find(|&&(nb, _)| nb == u)
+                            .map(|&(_, l)| l)
+                            .expect("symmetric adjacency");
+                        next_hop[v * n + dst] = (u as u32, link as u32);
+                        q.push_back(v);
+                    }
+                }
+            }
+            for v in 0..n {
+                if v != dst && next_hop[v * n + dst] == NO_ROUTE {
+                    return Err(TopoError::Disconnected {
+                        from: NodeId(v as u16),
+                        to: NodeId(dst as u16),
+                    });
+                }
+            }
+        }
+        Ok(next_hop)
+    }
+
+    /// Builds `make()` twice, once through `try_build` and once through
+    /// the oracle, and checks every `(from, dst)` entry (or the error)
+    /// agrees.
+    fn assert_routes_match_reference(name: &str, make: impl Fn() -> TopologyBuilder) {
+        let expected = reference_routes(&make());
+        let (f, table) = match (make().try_build(), expected) {
+            (Ok(f), Ok(table)) => (f, table),
+            (got, want) => {
+                assert_eq!(got.map(|_| ()), want.map(|_| ()), "{name}");
+                return;
+            }
+        };
+        let n = f.num_nodes();
+        for from in 0..n {
+            for dst in 0..n {
+                let want = table[from * n + dst];
+                let want = (want != NO_ROUTE).then_some((want.0 as usize, want.1 as usize));
+                assert_eq!(f.route(from, dst), want, "{name}: {from} -> {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn routes_match_source_major_reference() {
+        let spec_builder = |spec: TopoSpec| move || spec.builder().0;
+        assert_routes_match_reference(
+            "single-switch",
+            spec_builder(TopoSpec::single_switch(16, 3)),
+        );
+        for (radix, hosts, tcas) in [(4, 13, 2), (8, 64, 1), (16, 200, 2), (16, 1024, 1)] {
+            assert_routes_match_reference(
+                &format!("fat-tree r{radix} h{hosts}"),
+                spec_builder(TopoSpec::fat_tree(radix, hosts, tcas)),
+            );
+        }
+        // An irregular mesh: a switch ring with chords, so many
+        // destinations have equal-length paths and the tie-break decides.
+        use NodeKind::{Host, Switch, Tca};
+        let mut kinds = vec![Switch; 6];
+        kinds.extend([Host, Host, Host, Host, Tca, Host]);
+        let edges = vec![
+            (0, 1),
+            (2, 1),
+            (2, 3),
+            (3, 4),
+            (5, 4),
+            (5, 0),
+            (0, 3),
+            (4, 1),
+            (6, 0),
+            (2, 7),
+            (8, 3),
+            (9, 5),
+            (4, 10),
+            (11, 2),
+            (11, 4),
+        ];
+        assert_routes_match_reference(
+            "explicit mesh",
+            spec_builder(TopoSpec::explicit(kinds, edges)),
+        );
+    }
+
+    #[test]
+    fn disconnected_pair_matches_reference() {
+        let islands = |links: &'static [(u16, u16)]| {
+            move || {
+                let mut b = TopologyBuilder::new();
+                for i in 0..6 {
+                    if i % 3 == 0 {
+                        b.add_switch(SwitchSpec::paper());
+                    } else {
+                        b.add_host();
+                    }
+                }
+                for &(x, y) in links {
+                    b.connect(NodeId(x), NodeId(y), LinkConfig::paper());
+                }
+                b
+            }
+        };
+        // Two islands {0,1,2} and {3,4,5}: node 3 cannot reach 0.
+        assert_routes_match_reference("two islands", islands(&[(1, 0), (0, 2), (3, 4), (5, 3)]));
+        // Only the last host is cut off: it is the first `from` found.
+        assert_routes_match_reference("stray host", islands(&[(0, 1), (0, 2), (0, 3), (3, 4)]));
+        // Everything reaches node 0 except via a second component that
+        // node 0 cannot see: the first destination with a gap wins.
+        let err = islands(&[(0, 1), (0, 2), (3, 4), (3, 5)])().try_build();
+        assert_eq!(
+            err.unwrap_err(),
+            TopoError::Disconnected {
+                from: NodeId(3),
+                to: NodeId(0)
+            }
+        );
     }
 
     #[test]
