@@ -51,11 +51,16 @@
 //!   snapcheck       crash-safety check: runs the golden sweep plain,
 //!                   paused+snapshotted (ASAN_SNAPSHOT_EVENTS/_SAVE),
 //!                   and restored in a fresh process (_LOAD); all three
-//!                   outputs must be byte-identical
+//!                   outputs must be byte-identical, and every cell
+//!                   must have paused and written a snapshot
 //!   fork            warmed-start check: snapshots a paused golden
 //!                   sweep once, then forks several continuations from
 //!                   the same snapshots at different worker counts;
 //!                   every fork must print byte-identical digests
+//!   golden-snapshots
+//!                   FNV-1a of every snapshot file the golden and
+//!                   golden-fabric sweeps write when paused after 10
+//!                   and 500 events (tests/golden_snapshots.txt)
 //!   all             everything above
 //! ```
 //!
@@ -925,55 +930,104 @@ fn sweep_exp(sc: &Scale, dir: &str) {
     );
 }
 
-/// Re-runs this binary with `golden` under the given environment,
-/// returning its stdout.
-fn golden_child(sc: &Scale, envs: &[(&str, &str)]) -> String {
+/// Pause point every golden cell (single-switch and fabric) reaches
+/// before it finishes, so a snapshot run really pauses, saves and
+/// restores each one.
+const PAUSE_EVERY_CELL: &str = "10";
+
+/// Re-runs this binary with `exp` (`golden` or `golden-fabric`) under
+/// the given environment, returning its stdout.
+fn golden_child(sc: &Scale, exp: &str, envs: &[(&str, &str)]) -> String {
     let exe = env::current_exe().expect("own binary path");
     let mut cmd = std::process::Command::new(exe);
     if sc.small {
         cmd.arg("--small");
     }
-    cmd.arg("golden");
+    cmd.arg(exp);
     for (k, v) in envs {
         cmd.env(k, v);
     }
     let out = cmd.output().expect("spawn golden child");
     assert!(
         out.status.success(),
-        "golden child {envs:?} failed:\n{}",
+        "{exp} child {envs:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("digest output is UTF-8")
 }
 
+/// A fresh, empty scratch directory for one child's snapshot files.
+fn snap_dir(label: &str) -> std::path::PathBuf {
+    let dir = env::temp_dir().join(format!("asan-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("snapshot dir");
+    dir
+}
+
+/// Runs `exp` paused after `events` events with its snapshots saved to
+/// `dir`; returns the child's stdout and the snapshot files it wrote,
+/// sorted by name.
+fn paused_child(
+    sc: &Scale,
+    exp: &str,
+    events: &str,
+    dir: &std::path::Path,
+) -> (String, Vec<(String, Vec<u8>)>) {
+    let dir_s = dir.to_str().expect("UTF-8 temp path");
+    let out = golden_child(
+        sc,
+        exp,
+        &[("ASAN_SNAPSHOT_EVENTS", events), ("ASAN_SNAPSHOT_SAVE", dir_s)],
+    );
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read snapshot dir")
+        .map(|e| {
+            let path = e.expect("snapshot dir entry").path();
+            let stem = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .expect("UTF-8 snapshot name")
+                .to_string();
+            (stem, std::fs::read(&path).expect("read snapshot file"))
+        })
+        .collect();
+    files.sort();
+    (out, files)
+}
+
+/// Panics unless every cell of a paused run wrote a snapshot file — a
+/// run that finished before its pause point restores nothing.
+fn assert_all_paused(exp: &str, cells: usize, files: usize) {
+    assert_eq!(
+        files, cells,
+        "{exp}: only {files} of {cells} cells reached the pause point and wrote a snapshot"
+    );
+}
+
 /// Crash-safety check across real process boundaries: the golden sweep
 /// must print byte-identical digests when run plain, when paused +
 /// snapshotted + restored in-process, and when restored from the saved
-/// snapshot files in a fresh process.
+/// snapshot files in a fresh process. Every cell pauses and is restored.
 fn snapcheck(sc: &Scale) {
-    let dir = env::temp_dir().join(format!("asan-snapcheck-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("snapshot dir");
+    let dir = snap_dir("snapcheck");
     let dir_s = dir.to_str().expect("UTF-8 temp path");
 
-    let plain = golden_child(sc, &[]);
-    let paused = golden_child(
-        sc,
-        &[
-            ("ASAN_SNAPSHOT_EVENTS", "500"),
-            ("ASAN_SNAPSHOT_SAVE", dir_s),
-        ],
-    );
-    let restored = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", dir_s)]);
+    let plain = golden_child(sc, "golden", &[]);
+    let (paused, files) = paused_child(sc, "golden", PAUSE_EVERY_CELL, &dir);
+    let restored = golden_child(sc, "golden", &[("ASAN_SNAPSHOT_LOAD", dir_s)]);
     let _ = std::fs::remove_dir_all(&dir);
 
+    assert_all_paused("golden", plain.lines().count(), files.len());
     assert_eq!(plain, paused, "pause+restore changed a golden digest");
     assert_eq!(
         plain, restored,
         "fresh-process restore changed a golden digest"
     );
     println!(
-        "snapcheck: {} digests identical across plain / paused / fresh-process restore",
-        plain.lines().count()
+        "snapcheck: {} digests identical across plain / paused / fresh-process restore \
+         ({} cells restored)",
+        plain.lines().count(),
+        files.len()
     );
 }
 
@@ -981,20 +1035,18 @@ fn snapcheck(sc: &Scale) {
 /// several continuations from the same snapshot files at different
 /// worker counts — every fork must print byte-identical digests.
 fn fork_exp(sc: &Scale) {
-    let dir = env::temp_dir().join(format!("asan-fork-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("snapshot dir");
+    let dir = snap_dir("fork");
     let dir_s = dir.to_str().expect("UTF-8 temp path");
 
-    let warmed = golden_child(
-        sc,
-        &[
-            ("ASAN_SNAPSHOT_EVENTS", "500"),
-            ("ASAN_SNAPSHOT_SAVE", dir_s),
-        ],
-    );
+    let (warmed, files) = paused_child(sc, "golden", PAUSE_EVERY_CELL, &dir);
+    assert_all_paused("golden", warmed.lines().count(), files.len());
     let forks = ["1", "2", "4"];
     for jobs in forks {
-        let fork = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", dir_s), ("ASAN_JOBS", jobs)]);
+        let fork = golden_child(
+            sc,
+            "golden",
+            &[("ASAN_SNAPSHOT_LOAD", dir_s), ("ASAN_JOBS", jobs)],
+        );
         assert_eq!(
             warmed, fork,
             "fork at ASAN_JOBS={jobs} diverged from the warmed run"
@@ -1002,9 +1054,37 @@ fn fork_exp(sc: &Scale) {
     }
     let _ = std::fs::remove_dir_all(&dir);
     println!(
-        "fork: {} continuations byte-identical from one warmed snapshot set",
-        forks.len()
+        "fork: {} continuations byte-identical from one warmed snapshot set of {} cells",
+        forks.len(),
+        files.len()
     );
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Snapshot-encoding pin: the FNV-1a of every `<tag>.snap` that the
+/// golden and golden-fabric sweeps write when paused after 10 events
+/// (every cell) and after 500 (the long cells, mid-stream with credits
+/// and I/O requests in flight). The committed
+/// `tests/golden_snapshots.txt` holds the output of
+/// `repro --small golden-snapshots`; a codec change that moves a single
+/// snapshot byte shows up as a diff.
+fn golden_snapshots(sc: &Scale) {
+    for events in [PAUSE_EVERY_CELL, "500"] {
+        for exp in ["golden", "golden-fabric"] {
+            let dir = snap_dir(&format!("snaphash-{events}-{exp}"));
+            let (_, files) = paused_child(sc, exp, events, &dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            for (tag, bytes) in files {
+                println!("{events} {exp} {tag} {:016x}", fnv1a(&bytes));
+            }
+        }
+    }
 }
 
 fn table2() {
@@ -1119,6 +1199,7 @@ fn main() {
             "sweep" => sweep_exp(&sc, &results_dir),
             "snapcheck" => snapcheck(&sc),
             "fork" => fork_exp(&sc),
+            "golden-snapshots" => golden_snapshots(&sc),
             "twolevel" => twolevel(&sc),
             "multiprog" => multiprog_exp(&sc),
             other => eprintln!("unknown experiment: {other}"),
