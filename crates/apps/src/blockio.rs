@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use asan_core::cluster::{Dest, FileId, HostCtx, ReqId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 /// A sequential block-read plan over one file.
 #[derive(Debug, Clone, Copy)]
@@ -29,13 +29,20 @@ pub struct BlockPlan {
 /// Tracks the outstanding window and hands back completed ranges.
 #[derive(Debug)]
 pub struct BlockReader {
-    plan: BlockPlan, // asan-lint: allow(snapshot-completeness)
+    plan: BlockPlan,
     next_offset: u64,
     pending: BTreeMap<ReqId, (u64, u64)>,
     completed_bytes: u64,
 }
+snap_fields! { BlockReader { next_offset, pending, completed_bytes, static plan } }
 
 impl BlockReader {
+    /// Points the reader at `plan`, keeping its cursor state (a restore
+    /// re-derives which plan a multi-phase program is reading).
+    pub fn replan(&mut self, plan: BlockPlan) {
+        self.plan = plan;
+    }
+
     /// Creates a reader; call [`start`](BlockReader::start) to issue the
     /// initial window.
     pub fn new(plan: BlockPlan) -> Self {
@@ -104,35 +111,5 @@ impl BlockReader {
     /// Bytes completed so far.
     pub fn completed_bytes(&self) -> u64 {
         self.completed_bytes
-    }
-
-    /// Serializes the reader's dynamic state (cursor, outstanding
-    /// window, completed-byte count). The plan is static and rebuilt by
-    /// the caller.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.next_offset);
-        w.usize(self.pending.len());
-        for (req, &(off, len)) in &self.pending {
-            w.u64(req.0);
-            w.u64(off);
-            w.u64(len);
-        }
-        w.u64(self.completed_bytes);
-    }
-
-    /// Restores the dynamic state written by
-    /// [`snapshot`](BlockReader::snapshot) into this reader.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next_offset = r.u64()?;
-        let n = r.usize()?;
-        self.pending.clear();
-        for _ in 0..n {
-            let req = ReqId(r.u64()?);
-            let off = r.u64()?;
-            let len = r.u64()?;
-            self.pending.insert(req, (off, len));
-        }
-        self.completed_bytes = r.u64()?;
-        Ok(())
     }
 }

@@ -6,8 +6,8 @@
 //! with exactly 16 matching lines, Datamation-format sort records, and
 //! so on. All randomness is seeded from stable labels.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::SimRng;
+use asan_sim::{snap_enum, snap_fields};
 
 /// MPEG-like frame types used by the filter benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,6 +17,11 @@ pub enum FrameType {
     /// Predicted frame (dropped by the filter).
     P,
 }
+
+snap_enum!(FrameType, "frame type tag" {
+    0 => I,
+    1 => P,
+});
 
 /// Bytes of framing header preceding each frame payload.
 pub const FRAME_HEADER: usize = 8;
@@ -75,6 +80,7 @@ pub struct FrameScanner {
     remaining: usize,
     current: FrameType,
 }
+snap_fields! { FrameScanner { hdr, remaining, current } }
 
 impl FrameScanner {
     /// Fresh scanner at a frame boundary.
@@ -142,29 +148,6 @@ impl FrameScanner {
             }
         }
         segs
-    }
-
-    /// Serializes the scanner's mid-stream state (partial header,
-    /// remaining payload bytes, current frame type).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.bytes(&self.hdr);
-        w.usize(self.remaining);
-        w.u8(match self.current {
-            FrameType::I => 0,
-            FrameType::P => 1,
-        });
-    }
-
-    /// Restores the state written by [`snapshot`](FrameScanner::snapshot).
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.hdr = r.bytes()?;
-        self.remaining = r.usize()?;
-        self.current = match r.u8()? {
-            0 => FrameType::I,
-            1 => FrameType::P,
-            _ => return Err(SnapError::Malformed("frame type tag")),
-        };
-        Ok(())
     }
 }
 

@@ -15,7 +15,7 @@ use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload 
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -65,13 +65,14 @@ impl Params {
 
 /// Normal-case host program: DFA over every DMA'd block.
 struct NormalGrep {
-    corpus: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
+    corpus: Arc<Vec<u8>>,
     reader: BlockReader,
-    dfa: LiteralDfa, // asan-lint: allow(snapshot-completeness)
+    dfa: LiteralDfa,
     state: usize,
     matches: u64,
-    buf_base: u64, // asan-lint: allow(snapshot-completeness)
+    buf_base: u64,
 }
+snap_fields! { NormalGrep { reader, state, matches, static corpus, static dfa, static buf_base } }
 
 impl HostProgram for NormalGrep {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -108,33 +109,25 @@ impl HostProgram for NormalGrep {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.usize(self.state);
-        w.u64(self.matches);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.state = r.usize()?;
-        self.matches = r.u64()?;
-        Ok(())
-    }
 }
 
 /// The grep switch handler: DFA over the packet stream, forwarding the
 /// matched lines.
 pub struct GrepHandler {
-    dfa: LiteralDfa, // asan-lint: allow(snapshot-completeness)
+    dfa: LiteralDfa,
     state: usize,
-    host: NodeId,      // asan-lint: allow(snapshot-completeness)
-    expect_bytes: u64, // asan-lint: allow(snapshot-completeness)
+    host: NodeId,
+    expect_bytes: u64,
     seen: u64,
     matches: u64,
     /// Trailing window kept to reconstruct a matched line (64 B lines).
     line_tail: Vec<u8>,
     out_addr: u32,
+}
+snap_fields! {
+    GrepHandler {
+        state, seen, matches, line_tail, out_addr, static dfa, static host, static expect_bytes,
+    }
 }
 
 impl GrepHandler {
@@ -205,23 +198,6 @@ impl Handler for GrepHandler {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.state);
-        w.u64(self.seen);
-        w.u64(self.matches);
-        w.bytes(&self.line_tail);
-        w.u32(self.out_addr);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.state = r.usize()?;
-        self.seen = r.u64()?;
-        self.matches = r.u64()?;
-        self.line_tail = r.bytes()?;
-        self.out_addr = r.u32()?;
-        Ok(())
-    }
 }
 
 /// Active-case host program.
@@ -230,6 +206,7 @@ struct ActiveGrep {
     lines_in: u64,
     final_count: Option<u64>,
 }
+snap_fields! { ActiveGrep { reader, lines_in, final_count } }
 
 impl HostProgram for ActiveGrep {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -262,19 +239,6 @@ impl HostProgram for ActiveGrep {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.lines_in);
-        w.opt_u64(self.final_count);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.lines_in = r.u64()?;
-        self.final_count = r.opt_u64()?;
-        Ok(())
     }
 }
 

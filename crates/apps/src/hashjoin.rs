@@ -23,12 +23,14 @@ use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload 
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
 use crate::data;
 use crate::runner::{drive, standard_cluster, AppRun, Variant};
+use crate::shared::Shared;
 
 /// Handler that observes R and sets bit-vector bits.
 pub const BUILD_HANDLER: HandlerId = HandlerId::new_const(3);
@@ -115,50 +117,47 @@ struct JoinState {
     matches: u64,
 }
 
-impl JoinState {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.table.len());
-        for (&k, &v) in &self.table {
-            w.u64(k);
-            w.u32(v);
+snap_fields! { JoinState { table, bv_pass, matches } }
+
+/// A bit-vector whose length is fixed at construction, snapshotted
+/// packed eight bits to a byte.
+#[derive(Debug, Clone)]
+struct BitVec(Vec<bool>);
+
+impl std::ops::Deref for BitVec {
+    type Target = Vec<bool>;
+    fn deref(&self) -> &Vec<bool> {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for BitVec {
+    fn deref_mut(&mut self) -> &mut Vec<bool> {
+        &mut self.0
+    }
+}
+
+impl Snap for BitVec {
+    fn save(&self, w: &mut SnapWriter) {
+        let mut packed = vec![0u8; self.len().div_ceil(8)];
+        for (i, &b) in self.iter().enumerate() {
+            if b {
+                packed[i / 8] |= 1 << (i % 8);
+            }
         }
-        w.u64(self.bv_pass);
-        w.u64(self.matches);
+        w.bytes(&packed);
     }
 
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.table.clear();
-        for _ in 0..n {
-            let k = r.u64()?;
-            let v = r.u32()?;
-            self.table.insert(k, v);
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let packed = r.bytes()?;
+        if packed.len() != self.len().div_ceil(8) {
+            return Err(SnapError::Malformed("bit-vector length"));
         }
-        self.bv_pass = r.u64()?;
-        self.matches = r.u64()?;
+        for (i, b) in self.iter_mut().enumerate() {
+            *b = packed[i / 8] & (1 << (i % 8)) != 0;
+        }
         Ok(())
     }
-}
-
-/// Packs a bit-vector into bytes for snapshotting.
-fn pack_bits(bv: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; bv.len().div_ceil(8)];
-    for (i, &b) in bv.iter().enumerate() {
-        if b {
-            out[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out
-}
-
-/// Unpacks a snapshot bit-vector of a statically known length.
-fn unpack_bits(bytes: &[u8], len: usize) -> Result<Vec<bool>, SnapError> {
-    if bytes.len() != len.div_ceil(8) {
-        return Err(SnapError::Malformed("bit-vector length"));
-    }
-    Ok((0..len)
-        .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
-        .collect())
 }
 
 /// Memory regions used by the host program.
@@ -169,14 +168,30 @@ const BITVEC: u64 = 0x7000_0000;
 
 /// Normal-case host program: build then probe, all on the host.
 struct NormalJoin {
-    r: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    s: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    p: Params,       // asan-lint: allow(snapshot-completeness)
+    r: Arc<Vec<u8>>,
+    s: Arc<Vec<u8>>,
+    p: Params,
     phase: u8,
     reader: BlockReader,
     s_plan: BlockPlan,
-    bv: Vec<bool>,
+    bv: BitVec,
     st: JoinState,
+}
+// The reader is replaced when phase 1 starts, so a restore re-points it
+// at the S plan once `phase` is known.
+snap_fields! {
+    NormalJoin {
+        phase, reader, bv, st, static r, static s, static p, static s_plan,
+    } after NormalJoin::replan
+}
+
+impl NormalJoin {
+    fn replan(&mut self) -> Result<(), SnapError> {
+        if self.phase == 1 {
+            self.reader.replan(self.s_plan);
+        }
+        Ok(())
+    }
 }
 
 impl NormalJoin {
@@ -253,50 +268,36 @@ impl HostProgram for NormalJoin {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u8(self.phase);
-        self.reader.snapshot(w);
-        w.bytes(&pack_bits(&self.bv));
-        self.st.snapshot(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = r.u8()?;
-        // The reader is replaced when phase 1 starts; rebuild it over
-        // the right plan before restoring its cursor state.
-        if self.phase == 1 {
-            self.reader = BlockReader::new(self.s_plan);
-        }
-        self.reader.restore(r)?;
-        self.bv = unpack_bits(&r.bytes()?, self.bv.len())?;
-        self.st.restore(r)?;
-        Ok(())
-    }
 }
 
 /// The switch handler: builds the bit-vector as R streams by (while
 /// forwarding R to the host), then filters S.
 pub struct JoinFilter {
-    p: Params,    // asan-lint: allow(snapshot-completeness)
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    p: Params,
+    host: NodeId,
     /// The real bit-vector.
-    bv: Vec<bool>,
+    bv: BitVec,
     /// Base address of the bit-vector in switch-local memory.
-    bv_base: u64, // asan-lint: allow(snapshot-completeness)
+    bv_base: u64,
     seen: u64,
-    expect_r: u64, // asan-lint: allow(snapshot-completeness)
-    expect_s: u64, // asan-lint: allow(snapshot-completeness)
+    expect_r: u64,
+    expect_s: u64,
     pass: u64,
     batch: Vec<u8>,
     batch_buf: Option<asan_core::BufId>,
     out_addr: u32,
 }
+snap_fields! {
+    JoinFilter {
+        bv, seen, pass, batch, batch_buf, out_addr, static p, static host, static bv_base,
+        static expect_r, static expect_s,
+    }
+}
 
 impl JoinFilter {
     fn new(p: Params, host: NodeId) -> Self {
         JoinFilter {
-            bv: vec![false; p.bits as usize],
+            bv: BitVec(vec![false; p.bits as usize]),
             bv_base: 0x4_0000,
             seen: 0,
             expect_r: p.r_bytes,
@@ -385,65 +386,33 @@ impl Handler for JoinFilter {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.bytes(&pack_bits(&self.bv));
-        w.u64(self.seen);
-        w.u64(self.pass);
-        w.bytes(&self.batch);
-        w.opt_u64(self.batch_buf.map(|b| u64::from(b.0)));
-        w.u32(self.out_addr);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.bv = unpack_bits(&r.bytes()?, self.bv.len())?;
-        self.seen = r.u64()?;
-        self.pass = r.u64()?;
-        self.batch = r.bytes()?;
-        self.batch_buf = match r.opt_u64()? {
-            Some(v) => {
-                Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                    SnapError::Malformed("buffer id out of range")
-                })?))
-            }
-            None => None,
-        };
-        self.out_addr = r.u32()?;
-        Ok(())
-    }
-}
-
-/// Shares one [`JoinFilter`] between the BUILD and PROBE handler IDs
-/// (the jump table holds one entry per ID; the state — the bit-vector —
-/// is common). Each jump-table slot snapshots the shared state; the
-/// restores write identical bytes, so the duplication is harmless.
-#[derive(Clone)]
-pub struct SharedFilter(pub std::rc::Rc<std::cell::RefCell<JoinFilter>>);
-
-impl Handler for SharedFilter {
-    fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
-        self.0.borrow_mut().on_message(ctx);
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.0.borrow().snapshot_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.0.borrow_mut().restore_state(r)
-    }
 }
 
 /// Active-case host program: R arrives via the switch (hash-table
 /// build); filtered S arrives as batches (probe).
 struct ActiveJoin {
-    p: Params, // asan-lint: allow(snapshot-completeness)
+    p: Params,
     reader: BlockReader,
     s_plan: BlockPlan,
     phase: u8,
     st: JoinState,
     bv_pass_reported: Option<u64>,
     r_bytes_in: u64,
+}
+snap_fields! {
+    ActiveJoin {
+        phase, reader, st, bv_pass_reported, r_bytes_in, static p, static s_plan,
+    } after ActiveJoin::replan
+}
+
+impl ActiveJoin {
+    /// As for [`NormalJoin`]: phase 1 reads through the S plan.
+    fn replan(&mut self) -> Result<(), SnapError> {
+        if self.phase == 1 {
+            self.reader.replan(self.s_plan);
+        }
+        Ok(())
+    }
 }
 
 impl HostProgram for ActiveJoin {
@@ -502,26 +471,6 @@ impl HostProgram for ActiveJoin {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u8(self.phase);
-        self.reader.snapshot(w);
-        self.st.snapshot(w);
-        w.opt_u64(self.bv_pass_reported);
-        w.u64(self.r_bytes_in);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = r.u8()?;
-        if self.phase == 1 {
-            self.reader = BlockReader::new(self.s_plan);
-        }
-        self.reader.restore(r)?;
-        self.st.restore(r)?;
-        self.bv_pass_reported = r.opt_u64()?;
-        self.r_bytes_in = r.u64()?;
-        Ok(())
-    }
 }
 
 /// Runs HashJoin in one configuration, validating pass and match
@@ -556,11 +505,11 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
             .expect("cluster setup");
         let host = hs[0];
 
-        let filter = std::rc::Rc::new(std::cell::RefCell::new(JoinFilter::new(p.clone(), host)));
+        let filter = Shared::new(JoinFilter::new(p.clone(), host));
         if variant.is_active() {
-            cl.register_handler(sw, BUILD_HANDLER, Box::new(SharedFilter(filter.clone())))
+            cl.register_handler(sw, BUILD_HANDLER, Box::new(filter.clone()))
                 .expect("cluster setup");
-            cl.register_handler(sw, PROBE_HANDLER, Box::new(SharedFilter(filter.clone())))
+            cl.register_handler(sw, PROBE_HANDLER, Box::new(filter.clone()))
                 .expect("cluster setup");
             let s_plan = BlockPlan {
                 file: sf,
@@ -619,7 +568,7 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
                         dest: Dest::HostBuf { addr: R_BUF },
                     }),
                     s_plan,
-                    bv: vec![false; p.bits as usize],
+                    bv: BitVec(vec![false; p.bits as usize]),
                     st: JoinState::default(),
                 }),
             )
@@ -637,7 +586,7 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
             .expect("active join");
         assert_eq!(prog.r_bytes_in, p.r_bytes, "R did not fully reach host");
         assert_eq!(prog.bv_pass_reported, Some(want_pass), "switch pass count");
-        assert_eq!(filter.borrow().pass_count(), want_pass, "filter state");
+        assert_eq!(filter.inner().pass_count(), want_pass, "filter state");
         (prog.st.bv_pass, prog.st.matches)
     } else {
         let program = cl.take_program(host).expect("program");

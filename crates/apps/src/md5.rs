@@ -6,7 +6,7 @@
 //! chain. The resulting K digests themselves form a message, which can
 //! be MD5-encoded using a single-block algorithm").
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapOpt, SnapReader, SnapWriter};
 
 /// Incremental MD5 state.
 #[derive(Debug, Clone)]
@@ -44,31 +44,6 @@ impl Md5 {
             buf: [0; 64],
             buf_len: 0,
         }
-    }
-
-    /// Serializes the chain state mid-stream.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        for s in self.state {
-            w.u32(s);
-        }
-        w.u64(self.len_bytes);
-        w.bytes(&self.buf[..self.buf_len]);
-    }
-
-    /// Restores a chain state written by [`snapshot`](Md5::snapshot).
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut md5 = Md5::new();
-        for s in &mut md5.state {
-            *s = r.u32()?;
-        }
-        md5.len_bytes = r.u64()?;
-        let partial = r.bytes()?;
-        if partial.len() >= 64 {
-            return Err(SnapError::Malformed("md5 partial block too long"));
-        }
-        md5.buf[..partial.len()].copy_from_slice(&partial);
-        md5.buf_len = partial.len();
-        Ok(md5)
     }
 
     /// Absorbs `data`.
@@ -153,6 +128,38 @@ impl Md5 {
         self.state[1] = self.state[1].wrapping_add(b);
         self.state[2] = self.state[2].wrapping_add(c);
         self.state[3] = self.state[3].wrapping_add(d);
+    }
+}
+
+/// The chain state mid-stream; the partial block is written at its
+/// length, and one of a whole block or more is rejected.
+impl Snap for Md5 {
+    fn save(&self, w: &mut SnapWriter) {
+        for s in self.state {
+            w.u32(s);
+        }
+        w.u64(self.len_bytes);
+        w.bytes(&self.buf[..self.buf_len]);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        for s in &mut self.state {
+            *s = r.u32()?;
+        }
+        self.len_bytes = r.u64()?;
+        let partial = r.bytes()?;
+        if partial.len() >= 64 {
+            return Err(SnapError::Malformed("md5 partial block too long"));
+        }
+        self.buf[..partial.len()].copy_from_slice(&partial);
+        self.buf_len = partial.len();
+        Ok(())
+    }
+}
+
+impl SnapOpt for Md5 {
+    fn blank() -> Option<Self> {
+        Some(Md5::new())
     }
 }
 

@@ -16,7 +16,7 @@ use asan_core::active::ActiveSwitchConfig;
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx, MsgInfo};
 use asan_net::{HandlerId, NodeId, MTU};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -76,11 +76,12 @@ fn digest_tag(d: &[u8; 16]) -> u64 {
 /// Normal-case host program: read and hash the whole file (original
 /// single-chain MD5).
 struct NormalMd5 {
-    input: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
+    input: Arc<Vec<u8>>,
     reader: BlockReader,
     hasher: Option<Md5>,
     digest: Option<[u8; 16]>,
 }
+snap_fields! { NormalMd5 { reader, hasher, digest, static input } }
 
 impl HostProgram for NormalMd5 {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -111,49 +112,19 @@ impl HostProgram for NormalMd5 {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.bool(self.hasher.is_some());
-        if let Some(h) = &self.hasher {
-            h.snapshot(w);
-        }
-        w.bool(self.digest.is_some());
-        if let Some(d) = &self.digest {
-            w.bytes(d);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.hasher = if r.bool()? {
-            Some(Md5::restore(r)?)
-        } else {
-            None
-        };
-        self.digest = if r.bool()? {
-            let d = r.bytes()?;
-            Some(
-                <[u8; 16]>::try_from(d.as_slice())
-                    .map_err(|_| SnapError::Malformed("md5 digest length"))?,
-            )
-        } else {
-            None
-        };
-        Ok(())
-    }
 }
 
 /// The MD5 switch handler: K independent chains, packet `seq % K`
 /// pinned to switch CPU `seq % K` (the paper's added "switch CPU Id
 /// field in the message header").
 pub struct Md5Handler {
-    k: usize, // asan-lint: allow(snapshot-completeness)
+    k: usize,
     chains: Vec<Md5>,
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    host: NodeId,
     seen: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
+    expect: u64,
 }
+snap_fields! { Md5Handler { chains, seen, static k, static host, static expect } }
 
 impl Md5Handler {
     fn new(k: usize, host: NodeId, expect: u64) -> Self {
@@ -195,21 +166,6 @@ impl Handler for Md5Handler {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.chains.len());
-        for c in &self.chains {
-            c.snapshot(w);
-        }
-        w.u64(self.seen);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.chains = (0..n).map(|_| Md5::restore(r)).collect::<Result<_, _>>()?;
-        self.seen = r.u64()?;
-        Ok(())
-    }
 }
 
 /// Active-case host program: issue mapped reads, receive the digest.
@@ -217,6 +173,7 @@ struct ActiveMd5 {
     reader: BlockReader,
     digest: Option<[u8; 16]>,
 }
+snap_fields! { ActiveMd5 { reader, digest } }
 
 impl HostProgram for ActiveMd5 {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -237,28 +194,6 @@ impl HostProgram for ActiveMd5 {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.bool(self.digest.is_some());
-        if let Some(d) = &self.digest {
-            w.bytes(d);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.digest = if r.bool()? {
-            let d = r.bytes()?;
-            Some(
-                <[u8; 16]>::try_from(d.as_slice())
-                    .map_err(|_| SnapError::Malformed("md5 digest length"))?,
-            )
-        } else {
-            None
-        };
-        Ok(())
     }
 }
 

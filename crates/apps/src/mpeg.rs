@@ -21,7 +21,7 @@ use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload 
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -73,12 +73,13 @@ pub fn reference_i_bytes(video: &[u8]) -> u64 {
 
 /// Normal-case host program: filter + colour-reduce per block.
 struct NormalMpeg {
-    video: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
+    video: Arc<Vec<u8>>,
     reader: BlockReader,
     scanner: FrameScanner,
     i_bytes: u64,
-    buf_base: u64, // asan-lint: allow(snapshot-completeness)
+    buf_base: u64,
 }
+snap_fields! { NormalMpeg { reader, scanner, i_bytes, static video, static buf_base } }
 
 impl HostProgram for NormalMpeg {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -125,32 +126,24 @@ impl HostProgram for NormalMpeg {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        self.scanner.snapshot(w);
-        w.u64(self.i_bytes);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.scanner.restore(r)?;
-        self.i_bytes = r.u64()?;
-        Ok(())
-    }
 }
 
 /// The switch handler: per-packet frame filtering.
 pub struct MpegFilter {
     scanner: FrameScanner,
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    host: NodeId,
     seen: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
+    expect: u64,
     i_bytes: u64,
     out_addr: u32,
     /// Partial outgoing packet of I-frame bytes.
     batch: Vec<u8>,
     batch_buf: Option<asan_core::BufId>,
+}
+snap_fields! {
+    MpegFilter {
+        scanner, seen, i_bytes, out_addr, batch, batch_buf, static host, static expect,
+    }
 }
 
 impl MpegFilter {
@@ -235,32 +228,6 @@ impl Handler for MpegFilter {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.scanner.snapshot(w);
-        w.u64(self.seen);
-        w.u64(self.i_bytes);
-        w.u32(self.out_addr);
-        w.bytes(&self.batch);
-        w.opt_u64(self.batch_buf.map(|b| u64::from(b.0)));
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.scanner.restore(r)?;
-        self.seen = r.u64()?;
-        self.i_bytes = r.u64()?;
-        self.out_addr = r.u32()?;
-        self.batch = r.bytes()?;
-        self.batch_buf = match r.opt_u64()? {
-            Some(v) => {
-                Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                    SnapError::Malformed("buffer id out of range")
-                })?))
-            }
-            None => None,
-        };
-        Ok(())
-    }
 }
 
 /// Active-case host program: colour-reduce arriving I-frame data.
@@ -269,6 +236,7 @@ struct ActiveMpeg {
     i_bytes_in: u64,
     reported: Option<u64>,
 }
+snap_fields! { ActiveMpeg { reader, i_bytes_in, reported } }
 
 impl HostProgram for ActiveMpeg {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -300,19 +268,6 @@ impl HostProgram for ActiveMpeg {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.i_bytes_in);
-        w.opt_u64(self.reported);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.i_bytes_in = r.u64()?;
-        self.reported = r.opt_u64()?;
-        Ok(())
     }
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload 
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -84,10 +84,10 @@ pub fn reference_counts(shares: &[Vec<u8>], p: usize) -> Vec<u64> {
 
 /// Normal-case host program for one node.
 struct NormalSortNode {
-    share: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    p: Params,           // asan-lint: allow(snapshot-completeness)
-    me: usize,           // asan-lint: allow(snapshot-completeness)
-    peers: Vec<NodeId>,  // asan-lint: allow(snapshot-completeness)
+    share: Arc<Vec<u8>>,
+    p: Params,
+    me: usize,
+    peers: Vec<NodeId>,
     reader: BlockReader,
     /// Index of the next unprocessed record (alignment carry).
     next_rec: usize,
@@ -97,10 +97,17 @@ struct NormalSortNode {
     received: u64,
     recv_bytes: u64,
     received_from_peers: u64,
-    expected: u64, // asan-lint: allow(snapshot-completeness)
+    expected: u64,
     read_done: bool,
     sent_eof: bool,
     eofs_seen: usize,
+}
+snap_fields! {
+    NormalSortNode {
+        reader, next_rec, fixed batches, kept, received, recv_bytes, received_from_peers,
+        read_done, sent_eof, eofs_seen, static share, static p, static me, static peers,
+        static expected,
+    }
 }
 
 impl NormalSortNode {
@@ -194,60 +201,35 @@ impl HostProgram for NormalSortNode {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.usize(self.next_rec);
-        w.usize(self.batches.len());
-        for b in &self.batches {
-            w.bytes(b);
-        }
-        w.u64(self.kept);
-        w.u64(self.received);
-        w.u64(self.recv_bytes);
-        w.u64(self.received_from_peers);
-        w.bool(self.read_done);
-        w.bool(self.sent_eof);
-        w.usize(self.eofs_seen);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.next_rec = r.usize()?;
-        let n = r.usize()?;
-        if n != self.batches.len() {
-            return Err(SnapError::Malformed("sort batch count"));
-        }
-        for b in &mut self.batches {
-            *b = r.bytes()?;
-        }
-        self.kept = r.u64()?;
-        self.received = r.u64()?;
-        self.recv_bytes = r.u64()?;
-        self.received_from_peers = r.u64()?;
-        self.read_done = r.bool()?;
-        self.sent_eof = r.bool()?;
-        self.eofs_seen = r.usize()?;
-        Ok(())
-    }
 }
 
 /// The redistribution handler: splits the record stream by key range
 /// and forwards each record to its owner, batching per destination.
 pub struct SortHandler {
-    p: Params,          // asan-lint: allow(snapshot-completeness)
-    hosts: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    p: Params,
+    hosts: Vec<NodeId>,
     /// Partial record carried across packet boundaries, per source
     /// stream (the four nodes' shares interleave at the switch).
     carry: std::collections::BTreeMap<NodeId, Vec<u8>>,
-    /// Per-destination batch contents.
-    batches: Vec<Vec<u8>>,
-    batch_bufs: Vec<Option<asan_core::BufId>>,
-    out_addr: Vec<u32>,
+    /// One outgoing batch per destination host.
+    outboxes: Vec<Outbox>,
     seen: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
-    counts: Vec<u64>,
+    expect: u64,
 }
+snap_fields! { SortHandler { carry, fixed outboxes, seen, static p, static hosts, static expect } }
+
+/// Records bound for one destination host.
+#[derive(Debug, Clone, Default)]
+struct Outbox {
+    /// Batch contents (mirrors the held data buffer).
+    batch: Vec<u8>,
+    buf: Option<asan_core::BufId>,
+    out_addr: u32,
+    /// Records forwarded so far.
+    count: u64,
+}
+
+snap_fields! { Outbox { batch, buf, out_addr, count } }
 
 impl SortHandler {
     fn new(p: Params, hosts: Vec<NodeId>, expect: u64) -> Self {
@@ -256,29 +238,26 @@ impl SortHandler {
             p,
             hosts,
             carry: std::collections::BTreeMap::new(),
-            batches: vec![Vec::new(); n],
-            batch_bufs: vec![None; n],
-            out_addr: vec![0; n],
+            outboxes: vec![Outbox::default(); n],
             seen: 0,
             expect,
-            counts: vec![0; n],
         }
     }
 
     /// Records forwarded per destination.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
+    pub fn counts(&self) -> Vec<u64> {
+        self.outboxes.iter().map(|o| o.count).collect()
     }
 
     fn flush(&mut self, ctx: &mut HandlerCtx<'_>, owner: usize) {
-        if let Some(buf) = self.batch_bufs[owner].take() {
-            if self.batches[owner].is_empty() {
+        let out = &mut self.outboxes[owner];
+        if let Some(buf) = out.buf.take() {
+            if out.batch.is_empty() {
                 ctx.free_buffer(buf);
             } else {
-                ctx.send_buffer(buf, self.hosts[owner], Some(RECORDS), self.out_addr[owner]);
-                self.out_addr[owner] =
-                    self.out_addr[owner].wrapping_add(self.batches[owner].len() as u32);
-                self.batches[owner].clear();
+                ctx.send_buffer(buf, self.hosts[owner], Some(RECORDS), out.out_addr);
+                out.out_addr = out.out_addr.wrapping_add(out.batch.len() as u32);
+                out.batch.clear();
             }
         }
     }
@@ -295,14 +274,12 @@ impl Handler for SortHandler {
         for rec in stream[..whole].chunks_exact(SORT_RECORD) {
             ctx.compute(cost::SORT_PARTITION_INSTR);
             let owner = data::sort_bucket(&rec[..SORT_KEY], self.p.nodes);
-            self.counts[owner] += 1;
-            if self.batch_bufs[owner].is_none() {
-                self.batch_bufs[owner] = Some(ctx.alloc_buffer());
-            }
-            let buf = self.batch_bufs[owner].expect("just set");
-            ctx.buffer_write(buf, self.batches[owner].len(), rec);
-            self.batches[owner].extend_from_slice(rec);
-            if self.batches[owner].len() + SORT_RECORD > asan_core::BUFFER_BYTES {
+            let out = &mut self.outboxes[owner];
+            out.count += 1;
+            let buf = *out.buf.get_or_insert_with(|| ctx.alloc_buffer());
+            ctx.buffer_write(buf, out.batch.len(), rec);
+            out.batch.extend_from_slice(rec);
+            if out.batch.len() + SORT_RECORD > asan_core::BUFFER_BYTES {
                 self.flush(ctx, owner);
             }
         }
@@ -320,61 +297,17 @@ impl Handler for SortHandler {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.carry.len());
-        for (node, tail) in &self.carry {
-            w.u16(node.0);
-            w.bytes(tail);
-        }
-        w.usize(self.batches.len());
-        for i in 0..self.batches.len() {
-            w.bytes(&self.batches[i]);
-            w.opt_u64(self.batch_bufs[i].map(|b| u64::from(b.0)));
-            w.u32(self.out_addr[i]);
-            w.u64(self.counts[i]);
-        }
-        w.u64(self.seen);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.carry.clear();
-        for _ in 0..n {
-            let node = NodeId(r.u16()?);
-            let tail = r.bytes()?;
-            self.carry.insert(node, tail);
-        }
-        let n = r.usize()?;
-        if n != self.batches.len() {
-            return Err(SnapError::Malformed("sort handler batch count"));
-        }
-        for i in 0..n {
-            self.batches[i] = r.bytes()?;
-            self.batch_bufs[i] = match r.opt_u64()? {
-                Some(v) => {
-                    Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                        SnapError::Malformed("buffer id out of range")
-                    })?))
-                }
-                None => None,
-            };
-            self.out_addr[i] = r.u32()?;
-            self.counts[i] = r.u64()?;
-        }
-        self.seen = r.u64()?;
-        Ok(())
-    }
 }
 
 /// Active-case host program for one node.
 struct ActiveSortNode {
     reader: BlockReader,
     received: u64,
-    expected: u64, // asan-lint: allow(snapshot-completeness)
+    expected: u64,
     eof: bool,
     read_done: bool,
 }
+snap_fields! { ActiveSortNode { reader, received, eof, read_done, static expected } }
 
 impl HostProgram for ActiveSortNode {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -409,21 +342,6 @@ impl HostProgram for ActiveSortNode {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.received);
-        w.bool(self.eof);
-        w.bool(self.read_done);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.received = r.u64()?;
-        self.eof = r.bool()?;
-        self.read_done = r.bool()?;
-        Ok(())
     }
 }
 

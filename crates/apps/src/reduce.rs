@@ -18,7 +18,8 @@ use asan_core::cluster::{Cluster, ClusterConfig, HostCtx, HostMsg, HostProgram};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_core::{aggregation_tree, HandlerPlacement};
 use asan_net::{HandlerId, NodeId, TopoSpec};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::SnapError;
+use asan_sim::snap_fields;
 use asan_sim::SimTime;
 
 use crate::cost;
@@ -113,22 +114,35 @@ pub fn reduction_cluster(p: usize, cfg: ClusterConfig) -> ReductionCluster {
 /// The combine handler on one switch of the tree.
 pub struct ReduceHandler {
     /// Vectors expected at this switch (hosts below, or child switches).
-    expect: usize, // asan-lint: allow(snapshot-completeness)
+    expect: usize,
     received: usize,
     acc: Vec<u8>,
     acc_buf: Option<asan_core::BufId>,
     /// Where the combined vector goes: parent switch, or (at the root)
     /// the result distribution.
-    parent: Option<NodeId>, // asan-lint: allow(snapshot-completeness)
-    mode: Mode,         // asan-lint: allow(snapshot-completeness)
-    hosts: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    parent: Option<NodeId>,
+    mode: Mode,
+    hosts: Vec<NodeId>,
     /// Hosts attached directly below this switch (broadcast fan-out).
-    host_children: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    host_children: Vec<NodeId>,
     /// Switches attached directly below this switch.
-    switch_children: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    switch_children: Vec<NodeId>,
+}
+snap_fields! {
+    ReduceHandler {
+        received, acc, acc_buf, static expect, static parent, static mode, static hosts,
+        static host_children, static switch_children,
+    } after ReduceHandler::check_acc
 }
 
 impl ReduceHandler {
+    fn check_acc(&self) -> Result<(), SnapError> {
+        if self.acc.len() != VECTOR_BYTES {
+            return Err(SnapError::Malformed("reduce accumulator length"));
+        }
+        Ok(())
+    }
+
     fn new(
         expect: usize,
         parent: Option<NodeId>,
@@ -226,48 +240,37 @@ impl Handler for ReduceHandler {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.received);
-        w.bytes(&self.acc);
-        w.opt_u64(self.acc_buf.map(|b| u64::from(b.0)));
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.received = r.usize()?;
-        let acc = r.bytes()?;
-        if acc.len() != VECTOR_BYTES {
-            return Err(SnapError::Malformed("reduce accumulator length"));
-        }
-        self.acc = acc;
-        self.acc_buf = match r.opt_u64()? {
-            Some(v) => {
-                Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                    SnapError::Malformed("buffer id out of range")
-                })?))
-            }
-            None => None,
-        };
-        Ok(())
-    }
 }
 
 /// One node of the collective, normal (MST) or active.
 struct ReduceNode {
-    me: usize,          // asan-lint: allow(snapshot-completeness)
-    p: usize,           // asan-lint: allow(snapshot-completeness)
-    mode: Mode,         // asan-lint: allow(snapshot-completeness)
-    active: bool,       // asan-lint: allow(snapshot-completeness)
-    peers: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
-    leaf: NodeId,       // asan-lint: allow(snapshot-completeness)
+    me: usize,
+    p: usize,
+    mode: Mode,
+    active: bool,
+    peers: Vec<NodeId>,
+    leaf: NodeId,
     vector: Vec<u8>,
     /// MST round (normal case).
     round: u32,
     got_result: Option<Vec<u8>>,
     done: bool,
 }
+snap_fields! {
+    ReduceNode {
+        vector, round, got_result, done, static me, static p, static mode, static active,
+        static peers, static leaf,
+    } after ReduceNode::check_vector
+}
 
 impl ReduceNode {
+    fn check_vector(&self) -> Result<(), SnapError> {
+        if self.vector.len() != VECTOR_BYTES {
+            return Err(SnapError::Malformed("reduce vector length"));
+        }
+        Ok(())
+    }
+
     /// In MST round `r`, either sends to `me - 2^r`, waits for
     /// `me + 2^r`, or is already done.
     fn mst_step(&mut self, ctx: &mut HostCtx<'_>) {
@@ -443,28 +446,6 @@ impl HostProgram for ReduceNode {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.bytes(&self.vector);
-        w.u32(self.round);
-        w.bool(self.got_result.is_some());
-        if let Some(res) = &self.got_result {
-            w.bytes(res);
-        }
-        w.bool(self.done);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let vector = r.bytes()?;
-        if vector.len() != VECTOR_BYTES {
-            return Err(SnapError::Malformed("reduce vector length"));
-        }
-        self.vector = vector;
-        self.round = r.u32()?;
-        self.got_result = if r.bool()? { Some(r.bytes()?) } else { None };
-        self.done = r.bool()?;
-        Ok(())
     }
 }
 

@@ -17,7 +17,7 @@ use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload 
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -73,12 +73,13 @@ pub fn reference_count(table: &[u8], p: &Params) -> u64 {
 
 /// Normal-case host program: scan every record of every block.
 struct NormalSelect {
-    table: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    p: Params,           // asan-lint: allow(snapshot-completeness)
+    table: Arc<Vec<u8>>,
+    p: Params,
     reader: BlockReader,
     matches: u64,
-    buf_base: u64, // asan-lint: allow(snapshot-completeness)
+    buf_base: u64,
 }
+snap_fields! { NormalSelect { reader, matches, static table, static p, static buf_base } }
 
 impl HostProgram for NormalSelect {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -111,34 +112,29 @@ impl HostProgram for NormalSelect {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.matches);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.matches = r.u64()?;
-        Ok(())
-    }
 }
 
 /// The switch handler: evaluates the predicate inside the data buffers
 /// and forwards only matching records, batched into full packets.
 pub struct SelectHandler {
-    p: Params,    // asan-lint: allow(snapshot-completeness)
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    p: Params,
+    host: NodeId,
     /// Handler tag put on outgoing record batches (None for plain data
     /// to a host; a switch handler ID in the two-level pipeline).
-    out_handler: Option<HandlerId>, // asan-lint: allow(snapshot-completeness)
-    expect_bytes: u64, // asan-lint: allow(snapshot-completeness)
+    out_handler: Option<HandlerId>,
+    expect_bytes: u64,
     seen_bytes: u64,
     matches: u64,
     /// Matching-record batch being assembled (mirrors a held buffer).
     batch: Vec<u8>,
     batch_buf: Option<asan_core::BufId>,
     out_addr: u32,
+}
+snap_fields! {
+    SelectHandler {
+        seen_bytes, matches, batch, batch_buf, out_addr, static p, static host, static out_handler,
+        static expect_bytes,
+    }
 }
 
 impl SelectHandler {
@@ -219,39 +215,16 @@ impl Handler for SelectHandler {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u64(self.seen_bytes);
-        w.u64(self.matches);
-        w.bytes(&self.batch);
-        w.opt_u64(self.batch_buf.map(|b| u64::from(b.0)));
-        w.u32(self.out_addr);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.seen_bytes = r.u64()?;
-        self.matches = r.u64()?;
-        self.batch = r.bytes()?;
-        self.batch_buf = match r.opt_u64()? {
-            Some(v) => {
-                Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                    SnapError::Malformed("buffer id out of range")
-                })?))
-            }
-            None => None,
-        };
-        self.out_addr = r.u32()?;
-        Ok(())
-    }
 }
 
 /// Active-case host program: issue mapped reads, count arrivals.
 struct ActiveSelect {
-    p: Params, // asan-lint: allow(snapshot-completeness)
+    p: Params,
     reader: BlockReader,
     records_in: u64,
     final_count: Option<u64>,
 }
+snap_fields! { ActiveSelect { reader, records_in, final_count, static p } }
 
 impl HostProgram for ActiveSelect {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -280,19 +253,6 @@ impl HostProgram for ActiveSelect {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.records_in);
-        w.opt_u64(self.final_count);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.records_in = r.u64()?;
-        self.final_count = r.opt_u64()?;
-        Ok(())
     }
 }
 

@@ -10,6 +10,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use asan_core::handler::{Handler, HandlerCtx, MsgInfo};
+use asan_sim::snap::Snap;
+use asan_sim::snap_fields;
 
 /// A cloneable wrapper registering one handler under several IDs.
 pub struct Shared<H>(Rc<RefCell<H>>);
@@ -32,6 +34,10 @@ impl<H> Clone for Shared<H> {
     }
 }
 
+// Every registration snapshots the one shared state; the loads write
+// identical bytes, so the duplication is harmless.
+snap_fields!([H: Snap] Shared<H>(inner));
+
 impl<H: Handler + 'static> Handler for Shared<H> {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
         self.0.borrow_mut().on_message(ctx);
@@ -47,6 +53,7 @@ mod tests {
     use super::*;
 
     struct Tally(u64);
+    snap_fields!(Tally(count));
     impl Handler for Tally {
         fn on_message(&mut self, _ctx: &mut HandlerCtx<'_>) {
             self.0 += 1;

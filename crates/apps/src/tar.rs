@@ -18,7 +18,8 @@ use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload 
 use asan_core::cluster::{ClusterConfig, Dest, FileId, HostCtx, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -70,8 +71,8 @@ impl Params {
 struct NormalTar {
     p: Params,
     files: Vec<FileId>,
-    contents: Arc<Vec<Vec<u8>>>, // asan-lint: allow(snapshot-completeness)
-    archive: NodeId,             // asan-lint: allow(snapshot-completeness)
+    contents: Arc<Vec<Vec<u8>>>,
+    archive: NodeId,
     outstanding: u64,
     current: usize,
     reader: Option<BlockReader>,
@@ -92,15 +93,20 @@ impl NormalTar {
         let h = tar_fmt::ustar_header(&format!("file{:03}", self.current), self.p.file_bytes, 0);
         ctx.send(self.archive, None, 0, h.to_vec());
         self.sent += h.len() as u64;
-        let mut reader = BlockReader::new(BlockPlan {
-            file: self.files[self.current],
+        let mut reader = self.file_reader(self.files[self.current]);
+        reader.start(ctx);
+        self.reader = Some(reader);
+    }
+
+    /// A reader over one input file.
+    fn file_reader(&self, file: FileId) -> BlockReader {
+        BlockReader::new(BlockPlan {
+            file,
             total: self.p.file_bytes,
             block: self.p.io_block,
             outstanding: self.outstanding,
             dest: Dest::HostBuf { addr: 0x1000_0000 },
-        });
-        reader.start(ctx);
-        self.reader = Some(reader);
+        })
     }
 }
 
@@ -141,35 +147,33 @@ impl HostProgram for NormalTar {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
+}
 
-    fn snapshot_state(&self, w: &mut SnapWriter) {
+/// Hand-written rather than declared: the current file's reader is
+/// rebuilt over the plan its restored cursor selects before its own
+/// state loads.
+impl Snap for NormalTar {
+    fn save(&self, w: &mut SnapWriter) {
         w.usize(self.current);
         w.u64(self.sent);
-        w.bool(self.reader.is_some());
+        self.reader.is_some().save(w);
         if let Some(reader) = &self.reader {
-            reader.snapshot(w);
+            reader.save(w);
         }
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.current = r.usize()?;
         self.sent = r.u64()?;
+        self.reader = None;
         if r.bool()? {
             let file = *self
                 .files
                 .get(self.current)
                 .ok_or(SnapError::Malformed("tar file cursor out of range"))?;
-            let mut reader = BlockReader::new(BlockPlan {
-                file,
-                total: self.p.file_bytes,
-                block: self.p.io_block,
-                outstanding: self.outstanding,
-                dest: Dest::HostBuf { addr: 0x1000_0000 },
-            });
-            reader.restore(r)?;
+            let mut reader = self.file_reader(file);
+            reader.load(r)?;
             self.reader = Some(reader);
-        } else {
-            self.reader = None;
         }
         Ok(())
     }
@@ -179,10 +183,11 @@ impl HostProgram for NormalTar {
 /// header, forwards the header to the archive, then pulls the file from
 /// its TCA straight to the archive node.
 pub struct TarHandler {
-    tca: NodeId,     // asan-lint: allow(snapshot-completeness)
-    archive: NodeId, // asan-lint: allow(snapshot-completeness)
+    tca: NodeId,
+    archive: NodeId,
     files_streamed: u64,
 }
+snap_fields! { TarHandler { files_streamed, static tca, static archive } }
 
 impl TarHandler {
     fn new(tca: NodeId, archive: NodeId) -> Self {
@@ -214,15 +219,6 @@ impl Handler for TarHandler {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u64(self.files_streamed);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.files_streamed = r.u64()?;
-        Ok(())
-    }
 }
 
 /// Active-case host program: just headers and triggers.
@@ -232,6 +228,7 @@ struct ActiveTar {
     sw: NodeId,
     archive: NodeId,
 }
+snap_fields! { ActiveTar { static p, static files, static sw, static archive } }
 
 impl HostProgram for ActiveTar {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {

@@ -23,7 +23,7 @@ use asan_core::active::ActiveSwitchConfig;
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{HandlerId, NodeId};
-use asan_sim::SimTime;
+use asan_sim::{snap_fields, SimTime};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -76,6 +76,7 @@ pub struct CountStage {
     bytes: u64,
     records: u64,
 }
+snap_fields! { CountStage { bytes, records, static record_bytes, static host } }
 
 impl CountStage {
     fn new(record_bytes: u64, host: NodeId) -> Self {
@@ -123,6 +124,7 @@ struct TwoLevelHost {
     records_in: u64,
     final_count: Option<u64>,
 }
+snap_fields! { TwoLevelHost { reader, records_in, final_count, static p } }
 
 impl HostProgram for TwoLevelHost {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {

@@ -461,6 +461,7 @@ struct OneRead {
     file: FileId,
     len: u64,
 }
+asan_sim::snap_fields! { OneRead { static file, static len } }
 impl HostProgram for OneRead {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.read_file(self.file, 0, self.len, Dest::HostBuf { addr: 0x1000_0000 });
@@ -977,7 +978,10 @@ fn paused_child(
     let out = golden_child(
         sc,
         exp,
-        &[("ASAN_SNAPSHOT_EVENTS", events), ("ASAN_SNAPSHOT_SAVE", dir_s)],
+        &[
+            ("ASAN_SNAPSHOT_EVENTS", events),
+            ("ASAN_SNAPSHOT_SAVE", dir_s),
+        ],
     );
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .expect("read snapshot dir")

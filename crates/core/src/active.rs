@@ -16,7 +16,7 @@
 use asan_cpu::{Cpu, CpuConfig};
 use asan_net::{HandlerId, Packet};
 use asan_net::{NodeId, MTU};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::{Counter, TimeBreakdown};
 use asan_sim::{SimDuration, SimTime};
 
@@ -96,6 +96,8 @@ pub struct ActiveStats {
     pub io_reqs: Counter,
 }
 
+snap_fields! { ActiveStats { invocations, bytes_in, bytes_out, msgs_out, io_reqs } }
+
 /// Effects of dispatching one active message: what the cluster layer
 /// must inject into the fabric / I/O system, and when the CPU finished.
 #[derive(Debug)]
@@ -121,7 +123,7 @@ pub struct DispatchResult {
 #[derive(Debug)]
 pub struct ActiveSwitch {
     node: NodeId,
-    cfg: ActiveSwitchConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: ActiveSwitchConfig,
     cpus: Vec<Cpu>,
     atbs: Vec<Atb>,
     dba: BufferAdmin,
@@ -228,80 +230,6 @@ impl ActiveSwitch {
             let (buf, granted) = self.dba.alloc(SimTime::ZERO);
             self.dba.release(buf, until.max(granted));
         }
-    }
-
-    /// Writes the switch's dynamic state: CPUs, ATBs, buffer file,
-    /// send-unit occupancy, statistics, and each installed handler's
-    /// persistent state (via [`Handler::snapshot_state`]).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("active");
-        w.u16(self.node.0);
-        w.usize(self.cpus.len());
-        for c in &self.cpus {
-            c.snapshot(w);
-        }
-        for a in &self.atbs {
-            a.snapshot(w);
-        }
-        self.dba.snapshot(w);
-        for slot in &self.jump {
-            match slot {
-                Some(h) => {
-                    w.bool(true);
-                    h.snapshot_state(w);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.time(self.send_unit_free);
-        self.stats.invocations.snapshot(w);
-        self.stats.bytes_in.snapshot(w);
-        self.stats.bytes_out.snapshot(w);
-        self.stats.msgs_out.snapshot(w);
-        self.stats.io_reqs.snapshot(w);
-    }
-
-    /// Overwrites this switch's dynamic state from a snapshot taken of
-    /// a switch with the same node, configuration, and registered
-    /// handler set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed or the
-    /// snapshotted switch's shape (node, CPU count, jump-table
-    /// occupancy) does not match this one.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("active")?;
-        if r.u16()? != self.node.0 {
-            return Err(SnapError::Malformed("active switch node mismatch"));
-        }
-        if r.usize()? != self.cpus.len() {
-            return Err(SnapError::Malformed("switch CPU count mismatch"));
-        }
-        for c in &mut self.cpus {
-            c.restore(r)?;
-        }
-        for a in &mut self.atbs {
-            a.restore(r)?;
-        }
-        self.dba.restore(r)?;
-        for slot in &mut self.jump {
-            let present = r.bool()?;
-            match (present, slot.as_mut()) {
-                (true, Some(h)) => h.restore_state(r)?,
-                (false, None) => {}
-                _ => return Err(SnapError::Malformed("jump table occupancy mismatch")),
-            }
-        }
-        self.send_unit_free = r.time()?;
-        self.stats = ActiveStats {
-            invocations: Counter::restore(r)?,
-            bytes_in: Counter::restore(r)?,
-            bytes_out: Counter::restore(r)?,
-            msgs_out: Counter::restore(r)?,
-            io_reqs: Counter::restore(r)?,
-        };
-        Ok(())
     }
 
     /// Dispatches an arriving active message.
@@ -421,6 +349,16 @@ impl ActiveSwitch {
     }
 }
 
+// Every CPU, ATB and buffer, the jump table's handler state (occupancy
+// is fixed by the handlers installed at build time), the send unit and
+// the counters.
+snap_fields! {
+    ActiveSwitch {
+        "active", check node, fixed cpus, each atbs, dba, each jump, send_unit_free, stats,
+        static cfg,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +369,7 @@ mod tests {
         seen: u64,
         sink: NodeId,
     }
+    asan_sim::snap_fields! { Echo { seen, static sink } }
 
     impl Handler for Echo {
         fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -556,6 +495,7 @@ mod tests {
     #[test]
     fn multiple_cpus_run_in_parallel() {
         struct Pinned;
+        asan_sim::snap_fields! { Pinned {} }
         impl Handler for Pinned {
             fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
                 let _ = ctx.payload();

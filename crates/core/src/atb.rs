@@ -12,7 +12,8 @@
 //! streaming ("in order") arrival of mapped data: consecutive MTU-sized
 //! chunks of a mapped file land in consecutive ATB slots.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::SnapOpt;
+use asan_sim::snap_fields;
 use asan_sim::stats::Counter;
 
 use crate::buffer::{BufId, BUFFER_BYTES};
@@ -20,11 +21,19 @@ use crate::buffer::{BufId, BUFFER_BYTES};
 /// Number of ATB entries (one per data buffer in the paper).
 pub const ATB_ENTRIES: usize = 16;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     /// Base address of the mapped 512 B window.
     base: u32,
     buf: BufId,
+}
+
+snap_fields! { Entry { base, buf } }
+
+impl SnapOpt for Entry {
+    fn blank() -> Option<Self> {
+        Some(Entry::default())
+    }
 }
 
 /// A per-switch-CPU, direct-mapped address translation buffer.
@@ -158,41 +167,9 @@ impl Atb {
     pub fn conflict_evictions(&self) -> u64 {
         self.conflict_evictions.get()
     }
-
-    /// Writes every live mapping and the translation counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        for e in &self.entries {
-            match e {
-                Some(entry) => {
-                    w.bool(true);
-                    w.u32(entry.base);
-                    w.u8(entry.buf.0);
-                }
-                None => w.bool(false),
-            }
-        }
-        self.hits.snapshot(w);
-        self.misses.snapshot(w);
-        self.conflict_evictions.snapshot(w);
-    }
-
-    /// Overwrites this ATB's mappings and counters from a snapshot.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for e in &mut self.entries {
-            *e = if r.bool()? {
-                let base = r.u32()?;
-                let buf = BufId(r.u8()?);
-                Some(Entry { base, buf })
-            } else {
-                None
-            };
-        }
-        self.hits = Counter::restore(r)?;
-        self.misses = Counter::restore(r)?;
-        self.conflict_evictions = Counter::restore(r)?;
-        Ok(())
-    }
 }
+
+snap_fields! { Atb { each entries, hits, misses, conflict_evictions } }
 
 impl Default for Atb {
     fn default() -> Self {

@@ -13,7 +13,8 @@
 //! while the tail of the packet is still on the wire — the overlap the
 //! paper credits for much of the active switch's efficiency.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{SnapError, SnapOpt, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::SimTime;
 
 /// Bytes per data buffer (one MTU).
@@ -26,8 +27,26 @@ pub const LINE_BYTES: usize = 32;
 pub const LINES: usize = BUFFER_BYTES / LINE_BYTES;
 
 /// Index of a data buffer within the switch's buffer file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufId(pub u8);
+
+snap_fields!(BufId(index));
+
+/// Written like an optional `u64` (presence byte plus a 64-bit slot),
+/// range-checked on load.
+impl SnapOpt for BufId {
+    fn save_opt(v: &Option<Self>, w: &mut SnapWriter) {
+        w.opt_u64(v.map(|b| u64::from(b.0)));
+    }
+    fn load_opt(v: &mut Option<Self>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *v = r
+            .opt_u64()?
+            .map(|id| u8::try_from(id).map(BufId))
+            .transpose()
+            .map_err(|_| SnapError::Malformed("buffer id out of range"))?;
+        Ok(())
+    }
+}
 
 /// One on-chip data buffer: real bytes plus per-line valid times.
 ///
@@ -164,35 +183,6 @@ impl DataBuffer {
         self.valid = [None; LINES];
     }
 
-    /// Writes the full byte array, payload length, and per-line valid
-    /// times. The whole array is written (not just `len` bytes) because
-    /// a later extending [`write`](DataBuffer::write) can expose bytes
-    /// beyond the current payload.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.bytes(&self.data);
-        w.usize(self.len);
-        for v in &self.valid {
-            w.opt_time(*v);
-        }
-    }
-
-    /// Overwrites this buffer from a snapshot.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let data = r.bytes()?;
-        if data.len() != BUFFER_BYTES {
-            return Err(SnapError::Malformed("data buffer size mismatch"));
-        }
-        self.data.copy_from_slice(&data);
-        self.len = r.usize()?;
-        if self.len > BUFFER_BYTES {
-            return Err(SnapError::Malformed("data buffer payload too long"));
-        }
-        for v in &mut self.valid {
-            *v = r.opt_time()?;
-        }
-        Ok(())
-    }
-
     /// The latest line-valid time, i.e. when the whole payload is
     /// present. `None` for an empty buffer.
     pub fn all_valid_at(&self) -> Option<SimTime> {
@@ -203,6 +193,18 @@ impl DataBuffer {
         (0..lines)
             .map(|l| self.valid[l])
             .try_fold(SimTime::ZERO, |acc, t| t.map(|t| acc.max(t)))
+    }
+}
+
+// The bytes, the payload length and every line's valid time.
+snap_fields! { DataBuffer { data, len, each valid } after DataBuffer::check_len }
+
+impl DataBuffer {
+    fn check_len(&self) -> Result<(), SnapError> {
+        if self.len > BUFFER_BYTES {
+            return Err(SnapError::Malformed("data buffer payload too long"));
+        }
+        Ok(())
     }
 }
 

@@ -27,7 +27,8 @@ use asan_net::{Fabric, HandlerId, HcaConfig, NodeId};
 use asan_sim::faults::{FaultInjector, FaultPlan, FaultStats};
 use asan_sim::perfetto::PerfettoSink;
 use asan_sim::sched::Scheduler;
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::{TimeBreakdown, Traffic};
 use asan_sim::trace::{JsonlSink, NullSink, TraceSink};
 use asan_sim::{SimDuration, SimTime};
@@ -203,14 +204,14 @@ pub struct Cluster {
     host: HostEngine,
     dispatch: DispatchEngine,
     storage: StorageEngine,
-    fabric_engine: FabricEngine, // asan-lint: allow(snapshot-completeness)
-    files: FileStore,            // asan-lint: allow(snapshot-completeness)
+    fabric_engine: FabricEngine,
+    files: FileStore,
     reqs: BTreeMap<ReqId, IoState>,
     /// Armed fault injector (None ⇒ the pre-fault simulator, bit for
     /// bit).
     injector: Option<FaultInjector>,
     /// TCA nodes with an active engine, for delivery routing.
-    active_tca_nodes: BTreeSet<NodeId>, // asan-lint: allow(snapshot-completeness)
+    active_tca_nodes: BTreeSet<NodeId>,
     /// The observability probe: always-on latency histograms plus the
     /// optional trace sink spans are delivered to.
     probe: Probe,
@@ -228,7 +229,7 @@ impl Cluster {
     pub fn new(topo: TopologyBuilder, cfg: ClusterConfig) -> Self {
         let fabric = topo.build();
         let mut host = HostEngine::default();
-        let mut dispatch = DispatchEngine::default();
+        let mut dispatch = DispatchEngine::new(&cfg);
         let mut storage = StorageEngine::default();
         for i in 0..fabric.num_nodes() {
             let id = NodeId(i as u16);
@@ -604,27 +605,7 @@ impl Cluster {
     /// [`Cluster::restore`], which overwrites the dynamic state.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.section("cluster");
-        w.bool(self.armed);
-        w.time(self.drain);
-        self.sched.snapshot_with(&mut w, |w, e| e.snapshot(w));
-        self.fabric.snapshot(&mut w);
-        self.host.snapshot(&mut w);
-        self.dispatch.snapshot(&mut w);
-        self.storage.snapshot(&mut w);
-        w.usize(self.reqs.len());
-        for (req, st) in &self.reqs {
-            w.u64(req.0);
-            st.snapshot(&mut w);
-        }
-        match &self.injector {
-            Some(inj) => {
-                w.bool(true);
-                inj.snapshot(&mut w);
-            }
-            None => w.bool(false),
-        }
-        self.probe.snapshot_state(&mut w);
+        self.save(&mut w);
         w.into_bytes()
     }
 
@@ -641,27 +622,7 @@ impl Cluster {
     /// shape.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes)?;
-        r.section("cluster")?;
-        self.armed = r.bool()?;
-        self.drain = r.time()?;
-        self.sched = Scheduler::restore_with(&mut r, Event::restore)?;
-        self.fabric.restore(&mut r)?;
-        self.host.restore(&mut r)?;
-        self.dispatch.restore(&mut r, &self.cfg)?;
-        self.storage.restore(&mut r)?;
-        self.reqs.clear();
-        let nreqs = r.usize()?;
-        for _ in 0..nreqs {
-            let req = ReqId(r.u64()?);
-            self.reqs.insert(req, IoState::restore(&mut r)?);
-        }
-        let has_injector = r.bool()?;
-        match (has_injector, self.injector.as_mut()) {
-            (true, Some(inj)) => inj.restore(&mut r)?,
-            (false, None) => {}
-            _ => return Err(SnapError::Malformed("fault plan presence mismatch")),
-        }
-        self.probe.restore_state(&mut r)?;
+        Snap::load(self, &mut r)?;
         r.finish()
     }
 
@@ -685,5 +646,14 @@ impl Cluster {
             Subsystem::Dispatch => self.dispatch.on_event(t, ev, &mut bus),
             Subsystem::Storage => self.storage.on_event(t, ev, &mut bus),
         }
+    }
+}
+
+// Static inputs (topology, configuration, file contents, installed
+// programs and handlers, the active-TCA set) are rebuilt, not encoded.
+snap_fields! {
+    Cluster {
+        "cluster", armed, drain, sched, fabric, host, dispatch, storage, reqs, injector, probe,
+        static cfg, static fabric_engine, static files, static active_tca_nodes,
     }
 }

@@ -9,7 +9,7 @@
 //! time the allocation actually succeeds, so callers (the dispatch unit
 //! and handler send paths) naturally model buffer back-pressure.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::{Counter, Summary};
 use asan_sim::SimTime;
 
@@ -133,41 +133,9 @@ impl BufferAdmin {
     pub fn occupancy(&self) -> &Summary {
         &self.occupancy
     }
-
-    /// Writes every buffer's contents, the busy map, and the allocation
-    /// statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.buffers.len());
-        for b in &self.buffers {
-            b.snapshot(w);
-        }
-        for busy in &self.busy {
-            w.opt_time(*busy);
-        }
-        self.allocs.snapshot(w);
-        self.alloc_waits.snapshot(w);
-        self.occupancy.snapshot(w);
-    }
-
-    /// Overwrites this administrator's state from a snapshot taken of
-    /// an administrator with the same buffer count.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n != self.buffers.len() {
-            return Err(SnapError::Malformed("buffer count mismatch"));
-        }
-        for b in &mut self.buffers {
-            b.restore(r)?;
-        }
-        for busy in &mut self.busy {
-            *busy = r.opt_time()?;
-        }
-        self.allocs = Counter::restore(r)?;
-        self.alloc_waits = Counter::restore(r)?;
-        self.occupancy = Summary::restore(r)?;
-        Ok(())
-    }
 }
+
+snap_fields! { BufferAdmin { fixed buffers, each busy, allocs, alloc_waits, occupancy } }
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use asan_net::{HandlerId, NodeId, HEADER_BYTES};
 use asan_sim::faults::{BufferSeize, FaultInjector};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{read, Snap, SnapError, SnapFixed, SnapReader, SnapWriter};
 use asan_sim::trace::TraceCtx;
 use asan_sim::SimTime;
 
@@ -26,7 +26,7 @@ use super::Engine;
 
 /// The dispatch subsystem engine: every active engine plus the trap /
 /// fallback machinery.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DispatchEngine {
     switches: BTreeMap<NodeId, ActiveSwitch>,
     /// Optional active engines on TCA nodes: "a two-level active I/O
@@ -40,10 +40,11 @@ pub struct DispatchEngine {
     fallback_engines: BTreeMap<NodeId, ActiveSwitch>,
     /// The host that runs fallback engines (lowest-numbered host).
     fallback_host: Option<NodeId>,
-    /// Memoized configuration for host-side fallback engines, built
-    /// once on first trap instead of recloning `ActiveCfg`/`CpuCfg`
-    /// inside the event loop for every trapping switch.
-    fallback_cfg: Option<ActiveSwitchConfig>,
+    /// Configuration for host-side fallback engines: software
+    /// demultiplexing on a host CPU — one engine, slower dispatch, same
+    /// handler model. Built once so neither the event loop nor a
+    /// restore reclones the cluster configuration per trap.
+    fallback_cfg: ActiveSwitchConfig,
     /// Reorder buffers for mapped flows under faults.
     flows: BTreeMap<ReqId, FlowState>,
 }
@@ -82,6 +83,44 @@ impl Engine for DispatchEngine {
 }
 
 impl DispatchEngine {
+    /// An engine with no switches yet, for a cluster configured by `cfg`.
+    pub(crate) fn new(cfg: &ClusterConfig) -> Self {
+        let mut fallback_cfg = cfg.active.clone();
+        fallback_cfg.cpu = cfg.host_cpu.clone();
+        fallback_cfg.num_cpus = 1;
+        fallback_cfg.dispatch_cycles = 64;
+        DispatchEngine {
+            switches: BTreeMap::new(),
+            active_tcas: BTreeMap::new(),
+            trapped: BTreeSet::new(),
+            fallback_engines: BTreeMap::new(),
+            fallback_host: None,
+            fallback_cfg,
+            flows: BTreeMap::new(),
+        }
+    }
+
+    /// Moves trapped handler `hid` from `sw`'s jump table to the
+    /// host-side fallback engine kept for `sw`. Returns `false` when no
+    /// such handler is installed.
+    fn migrate(&mut self, sw: NodeId, hid: HandlerId) -> bool {
+        let Some(handler) = self
+            .switches
+            .get_mut(&sw)
+            .or_else(|| self.active_tcas.get_mut(&sw))
+            .and_then(|e| e.take_handler(hid))
+        else {
+            return false;
+        };
+        let cfg = &self.fallback_cfg;
+        self.fallback_engines
+            .entry(sw)
+            .or_insert_with(|| ActiveSwitch::new(sw, cfg.clone()))
+            .register(hid, handler);
+        self.trapped.insert((sw, hid));
+        true
+    }
+
     /// Adds the active switch engine at `id`.
     pub(crate) fn add_switch(&mut self, id: NodeId, cfg: ActiveSwitchConfig) {
         self.switches.insert(id, ActiveSwitch::new(id, cfg));
@@ -235,128 +274,6 @@ impl DispatchEngine {
             .collect()
     }
 
-    /// Writes the engine's dynamic state: the fallback host, the trap
-    /// set, every active engine (switches, active TCAs, fallback
-    /// engines), and the per-request reorder buffers.
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("dispatch");
-        w.opt_u64(self.fallback_host.map(|n| u64::from(n.0)));
-        w.usize(self.trapped.len());
-        for (sw, hid) in &self.trapped {
-            w.u16(sw.0);
-            w.u8(hid.as_u8());
-        }
-        w.usize(self.switches.len());
-        for (&id, s) in &self.switches {
-            w.u16(id.0);
-            s.snapshot(w);
-        }
-        w.usize(self.active_tcas.len());
-        for (&id, s) in &self.active_tcas {
-            w.u16(id.0);
-            s.snapshot(w);
-        }
-        w.usize(self.fallback_engines.len());
-        for (&id, s) in &self.fallback_engines {
-            w.u16(id.0);
-            s.snapshot(w);
-        }
-        w.usize(self.flows.len());
-        for (req, flow) in &self.flows {
-            w.u64(req.0);
-            flow.snapshot(w);
-        }
-    }
-
-    /// Overwrites the engine's dynamic state from a snapshot taken of
-    /// an identically built engine (same switches, active TCAs, and
-    /// registered handlers).
-    ///
-    /// Handler traps are replayed first: each `(switch, handler)` pair
-    /// in the snapshotted trap set has its (freshly re-registered)
-    /// handler migrated from the original engine to a host-side
-    /// fallback engine — exactly as the live trap did — so jump-table
-    /// occupancy matches before engine state is overwritten.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed or the
-    /// engine set does not match.
-    pub(crate) fn restore(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        cfg: &ClusterConfig,
-    ) -> Result<(), SnapError> {
-        r.section("dispatch")?;
-        self.fallback_host = match r.opt_u64()? {
-            Some(v) => Some(NodeId(
-                u16::try_from(v).map_err(|_| SnapError::Malformed("fallback host id"))?,
-            )),
-            None => None,
-        };
-        let ntrap = r.usize()?;
-        for _ in 0..ntrap {
-            let sw = NodeId(r.u16()?);
-            let raw = r.u8()?;
-            if raw >= 64 {
-                return Err(SnapError::Malformed("trapped handler id out of range"));
-            }
-            let hid = HandlerId::new(raw);
-            let handler = self
-                .switches
-                .get_mut(&sw)
-                .or_else(|| self.active_tcas.get_mut(&sw))
-                .and_then(|e| e.take_handler(hid))
-                .ok_or(SnapError::Malformed("trapped handler not registered"))?;
-            let fallback_cfg = self.fallback_cfg.get_or_insert_with(|| {
-                let mut fcfg = cfg.active.clone();
-                fcfg.cpu = cfg.host_cpu.clone();
-                fcfg.num_cpus = 1;
-                fcfg.dispatch_cycles = 64;
-                fcfg
-            });
-            self.fallback_engines
-                .entry(sw)
-                .or_insert_with(|| ActiveSwitch::new(sw, fallback_cfg.clone()))
-                .register(hid, handler);
-            self.trapped.insert((sw, hid));
-        }
-        if r.usize()? != self.switches.len() {
-            return Err(SnapError::Malformed("switch count mismatch"));
-        }
-        for (&id, s) in &mut self.switches {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("switch node mismatch"));
-            }
-            s.restore(r)?;
-        }
-        if r.usize()? != self.active_tcas.len() {
-            return Err(SnapError::Malformed("active TCA count mismatch"));
-        }
-        for (&id, s) in &mut self.active_tcas {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("active TCA node mismatch"));
-            }
-            s.restore(r)?;
-        }
-        if r.usize()? != self.fallback_engines.len() {
-            return Err(SnapError::Malformed("fallback engine count mismatch"));
-        }
-        for (&id, s) in &mut self.fallback_engines {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("fallback engine node mismatch"));
-            }
-            s.restore(r)?;
-        }
-        self.flows.clear();
-        let nflows = r.usize()?;
-        for _ in 0..nflows {
-            let req = ReqId(r.u64()?);
-            self.flows.insert(req, FlowState::restore(r)?);
-        }
-        Ok(())
-    }
-
     /// One mapped storage data packet arrived at an active engine under
     /// a fault plan: dedup, recovery accounting, in-order release
     /// through the reorder buffer, and completion detection.
@@ -435,26 +352,7 @@ impl DispatchEngine {
                         .expect("armed")
                         .should_trap(sw.0, hid.as_u8())
                 {
-                    let handler = self
-                        .switches
-                        .get_mut(&sw)
-                        .or_else(|| self.active_tcas.get_mut(&sw))
-                        .and_then(|e| e.take_handler(hid))
-                        .expect("trapped handler installed");
-                    let fallback_cfg = self.fallback_cfg.get_or_insert_with(|| {
-                        // Software demultiplexing on a host CPU: one
-                        // engine, slower dispatch, same handler model.
-                        let mut fcfg = bus.cfg.active.clone();
-                        fcfg.cpu = bus.cfg.host_cpu.clone();
-                        fcfg.num_cpus = 1;
-                        fcfg.dispatch_cycles = 64;
-                        fcfg
-                    });
-                    self.fallback_engines
-                        .entry(sw)
-                        .or_insert_with(|| ActiveSwitch::new(sw, fallback_cfg.clone()))
-                        .register(hid, handler);
-                    self.trapped.insert((sw, hid));
+                    assert!(self.migrate(sw, hid), "trapped handler installed");
                     bus.injector
                         .as_mut()
                         .expect("armed")
@@ -577,5 +475,39 @@ impl DispatchEngine {
                 bus.push(d.arrival, Event::SwitchIoAtTca { r, attempt: 0 });
             }
         }
+    }
+}
+
+/// Hand-written rather than declared: decoding the trapped set replays
+/// each handler's migration to its fallback engine, so the engine maps
+/// have the snapshot's shape before they load.
+impl Snap for DispatchEngine {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("dispatch");
+        w.opt_u64(self.fallback_host.map(|n| u64::from(n.0)));
+        self.trapped.save(w);
+        self.switches.save_fixed(w);
+        self.active_tcas.save_fixed(w);
+        self.fallback_engines.save_fixed(w);
+        self.flows.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.section("dispatch")?;
+        self.fallback_host = r
+            .opt_u64()?
+            .map(|v| u16::try_from(v).map(NodeId))
+            .transpose()
+            .map_err(|_| SnapError::Malformed("fallback host id"))?;
+        for (sw, hid) in read::<BTreeSet<(NodeId, HandlerId)>>(r)? {
+            if !self.migrate(sw, hid) {
+                return Err(SnapError::Malformed("trapped handler not registered"));
+            }
+        }
+        self.switches.load_fixed(r, "switch set mismatch")?;
+        self.active_tcas.load_fixed(r, "active TCA set mismatch")?;
+        self.fallback_engines
+            .load_fixed(r, "fallback engine set mismatch")?;
+        self.flows.load(r)
     }
 }

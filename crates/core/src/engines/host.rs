@@ -13,7 +13,8 @@ use std::collections::BTreeMap;
 use asan_cpu::Cpu;
 use asan_io::OsCost;
 use asan_net::{HandlerId, Hca, NodeId, HEADER_BYTES, MTU};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::Snap;
+use asan_sim::snap_fields;
 use asan_sim::stats::Traffic;
 use asan_sim::{SimDuration, SimTime};
 
@@ -28,8 +29,10 @@ use super::Engine;
 ///
 /// Programs are state machines: the cluster calls these hooks in
 /// simulated-time order, and the program charges CPU time through the
-/// [`HostCtx`] as it processes real data.
-pub trait HostProgram {
+/// [`HostCtx`] as it processes real data. Whatever they carry across
+/// hook calls is snapshotted through the required [`Snap`] supertrait,
+/// usually declared with [`asan_sim::snap_fields!`].
+pub trait HostProgram: Snap {
     /// Called once at time zero.
     fn on_start(&mut self, ctx: &mut HostCtx<'_>);
 
@@ -44,22 +47,6 @@ pub trait HostProgram {
     /// a run (`Some(self)` in implementations that support it).
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
-    }
-
-    /// Writes this program's persistent state into a snapshot. Stateful
-    /// programs (anything whose behaviour depends on values mutated
-    /// across hook calls) must override this together with
-    /// [`HostProgram::restore_state`]; the default writes nothing.
-    fn snapshot_state(&self, _w: &mut SnapWriter) {}
-
-    /// Restores the state written by [`HostProgram::snapshot_state`]
-    /// into a freshly constructed program.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed.
-    fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
     }
 }
 
@@ -188,6 +175,12 @@ struct HostNode {
     background_left: SimDuration,
     /// When the background job completed, if it did.
     background_done: Option<SimTime>,
+}
+
+snap_fields! {
+    HostNode {
+        cpu, hca, program, finished_at, payload, background_left, background_done,
+    }
 }
 
 /// The host subsystem engine: owns every host node (CPU, HCA, program,
@@ -386,65 +379,6 @@ impl HostEngine {
             .collect()
     }
 
-    /// Writes the engine's dynamic state: the request-ID allocator and
-    /// every host node (CPU, HCA, finish/background state, traffic,
-    /// program state via [`HostProgram::snapshot_state`]).
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("host");
-        w.u64(self.next_req);
-        w.usize(self.hosts.len());
-        for (&id, h) in &self.hosts {
-            w.u16(id.0);
-            h.cpu.snapshot(w);
-            h.hca.snapshot(w);
-            match &h.program {
-                Some(p) => {
-                    w.bool(true);
-                    p.snapshot_state(w);
-                }
-                None => w.bool(false),
-            }
-            w.opt_time(h.finished_at);
-            h.payload.snapshot(w);
-            w.dur(h.background_left);
-            w.opt_time(h.background_done);
-        }
-    }
-
-    /// Overwrites the engine's dynamic state from a snapshot taken of
-    /// an identically built engine (same hosts, same programs
-    /// installed).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed or the host
-    /// set / program placement does not match.
-    pub(crate) fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("host")?;
-        self.next_req = r.u64()?;
-        if r.usize()? != self.hosts.len() {
-            return Err(SnapError::Malformed("host count mismatch"));
-        }
-        for (&id, h) in &mut self.hosts {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("host node mismatch"));
-            }
-            h.cpu.restore(r)?;
-            h.hca.restore(r)?;
-            let has_program = r.bool()?;
-            match (has_program, h.program.as_mut()) {
-                (true, Some(p)) => p.restore_state(r)?,
-                (false, None) => {}
-                _ => return Err(SnapError::Malformed("program placement mismatch")),
-            }
-            h.finished_at = r.opt_time()?;
-            h.payload = Traffic::restore(r)?;
-            h.background_left = r.dur()?;
-            h.background_done = r.opt_time()?;
-        }
-        Ok(())
-    }
-
     /// Invokes a host program hook. `io` = completed request;
     /// `msg` = arrived message; neither = start.
     fn call_host(
@@ -610,6 +544,10 @@ impl HostEngine {
         }
     }
 }
+
+// The request-ID allocator and every host node, checked against the
+// rebuilt host set.
+snap_fields! { HostEngine { "host", next_req, fixed hosts } }
 
 /// Advances `node`'s CPU to `at`, letting any co-scheduled background
 /// job consume the gap as busy time before the rest is filed as idle.

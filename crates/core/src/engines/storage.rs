@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use asan_io::Storage;
 use asan_net::{NodeId, MTU};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::trace::TraceCtx;
 use asan_sim::{SimDuration, SimTime};
 
@@ -35,6 +35,12 @@ struct TcaNode {
     write_cursor: u64,
     last_write_done: SimTime,
     write_chunk: u64,
+}
+
+snap_fields! {
+    TcaNode {
+        storage, alloc_cursor, write_pending, write_cursor, last_write_done, write_chunk,
+    }
 }
 
 /// The storage subsystem engine: every TCA node and its disk array.
@@ -182,48 +188,6 @@ impl StorageEngine {
                 bus_bytes: t.storage.bus().stats().bytes.get(),
             })
             .collect()
-    }
-
-    /// Writes the engine's dynamic state: every TCA node's disk array,
-    /// allocation cursor, and archive-write aggregation state.
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("storage");
-        w.usize(self.tcas.len());
-        for (&id, t) in &self.tcas {
-            w.u16(id.0);
-            t.storage.snapshot(w);
-            w.u64(t.alloc_cursor);
-            w.u64(t.write_pending);
-            w.u64(t.write_cursor);
-            w.time(t.last_write_done);
-            w.u64(t.write_chunk);
-        }
-    }
-
-    /// Overwrites the engine's dynamic state from a snapshot taken of
-    /// an identically built engine (same TCA set).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed or the TCA
-    /// set does not match.
-    pub(crate) fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("storage")?;
-        if r.usize()? != self.tcas.len() {
-            return Err(SnapError::Malformed("tca count mismatch"));
-        }
-        for (&id, t) in &mut self.tcas {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("tca node mismatch"));
-            }
-            t.storage.restore(r)?;
-            t.alloc_cursor = r.u64()?;
-            t.write_pending = r.u64()?;
-            t.write_cursor = r.u64()?;
-            t.last_write_done = r.time()?;
-            t.write_chunk = r.u64()?;
-        }
-        Ok(())
     }
 
     /// Decides the fate of one disk request attempt. `Ok(Some(delay))`
@@ -441,3 +405,5 @@ impl StorageEngine {
         }
     }
 }
+
+snap_fields! { StorageEngine { "storage", fixed tcas } }

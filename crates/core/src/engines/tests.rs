@@ -165,6 +165,7 @@ struct ReadOnStart {
     file: FileId,
     len: u64,
 }
+asan_sim::snap_fields! { ReadOnStart { static file, static len } }
 
 impl HostProgram for ReadOnStart {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -218,6 +219,7 @@ struct SendAndQuit {
     peer: NodeId,
     len: usize,
 }
+asan_sim::snap_fields! { SendAndQuit { static peer, static len } }
 
 impl HostProgram for SendAndQuit {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -469,6 +471,7 @@ fn storage_engine_aggregates_archive_writes() {
 struct Shrink {
     home: NodeId,
 }
+asan_sim::snap_fields! { Shrink { static home } }
 
 impl Handler for Shrink {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -481,7 +484,7 @@ impl Handler for Shrink {
 #[test]
 fn dispatch_engine_invokes_handler_and_routes_its_output() {
     let mut rig = Rig::new();
-    let mut eng = DispatchEngine::default();
+    let mut eng = DispatchEngine::new(&rig.cfg);
     eng.add_switch(rig.sw, rig.cfg.active.clone());
     eng.register(
         rig.sw,

@@ -23,152 +23,32 @@ use asan_sim::sched::{Scheduler, Traceable};
 use asan_sim::trace::TraceCtx;
 use asan_sim::{SimDuration, SimTime};
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::SnapOpt;
+use asan_sim::{snap_enum, snap_fields};
 
 use crate::cluster::ClusterConfig;
 use crate::handler::SwitchIoReq;
 use crate::metrics::Probe;
 
-/// Writes a [`NodeId`].
-fn snap_node(w: &mut SnapWriter, n: NodeId) {
-    w.u16(n.0);
-}
-
-/// Reads a [`NodeId`].
-fn read_node(r: &mut SnapReader<'_>) -> Result<NodeId, SnapError> {
-    Ok(NodeId(r.u16()?))
-}
-
-/// Writes an optional [`HandlerId`] as presence byte + raw value.
-fn snap_opt_handler(w: &mut SnapWriter, h: Option<HandlerId>) {
-    match h {
-        Some(h) => {
-            w.bool(true);
-            w.u8(h.as_u8());
-        }
-        None => w.bool(false),
-    }
-}
-
-/// Reads a raw handler ID, validating the 6-bit range (so a malformed
-/// snapshot errors instead of panicking in [`HandlerId::new`]).
-fn read_handler(r: &mut SnapReader<'_>) -> Result<HandlerId, SnapError> {
-    let v = r.u8()?;
-    if v >= 64 {
-        return Err(SnapError::Malformed("handler id out of range"));
-    }
-    Ok(HandlerId::new(v))
-}
-
-/// Reads an optional [`HandlerId`].
-fn read_opt_handler(r: &mut SnapReader<'_>) -> Result<Option<HandlerId>, SnapError> {
-    if r.bool()? {
-        Ok(Some(read_handler(r)?))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Writes an optional [`ReqId`].
-fn snap_opt_req(w: &mut SnapWriter, req: Option<ReqId>) {
-    w.opt_u64(req.map(|r| r.0));
-}
-
-/// Reads an optional [`ReqId`].
-fn read_opt_req(r: &mut SnapReader<'_>) -> Result<Option<ReqId>, SnapError> {
-    Ok(r.opt_u64()?.map(ReqId))
-}
-
-/// Writes a whole [`asan_net::Packet`]: encoded header, payload bytes,
-/// and the ICRC *as stamped* (so simulated corruption survives a
-/// snapshot/restore round trip).
-pub(crate) fn snap_packet(w: &mut SnapWriter, pkt: &asan_net::Packet) {
-    w.bytes(&pkt.header.encode());
-    w.bytes(&pkt.payload);
-    w.u32(pkt.icrc());
-}
-
-/// Reads a [`asan_net::Packet`] written by [`snap_packet`].
-pub(crate) fn read_packet(r: &mut SnapReader<'_>) -> Result<asan_net::Packet, SnapError> {
-    let hb = r.bytes()?;
-    let hb: [u8; asan_net::HEADER_BYTES] = hb
-        .as_slice()
-        .try_into()
-        .map_err(|_| SnapError::Malformed("packet header size"))?;
-    let header =
-        asan_net::Header::decode(&hb).map_err(|_| SnapError::Malformed("packet header"))?;
-    let payload = r.bytes()?;
-    if payload.len() != header.len as usize {
-        return Err(SnapError::Malformed("packet payload length"));
-    }
-    let icrc = r.u32()?;
-    Ok(asan_net::Packet::from_parts(header, payload, icrc))
-}
-
-impl Dest {
-    /// Writes this destination (tag byte + fields).
-    fn snapshot(&self, w: &mut SnapWriter) {
-        match self {
-            Dest::HostBuf { addr } => {
-                w.u8(0);
-                w.u64(*addr);
-            }
-            Dest::Mapped {
-                node,
-                handler,
-                base_addr,
-            } => {
-                w.u8(1);
-                snap_node(w, *node);
-                w.u8(handler.as_u8());
-                w.u32(*base_addr);
-            }
-        }
-    }
-
-    /// Reads a destination written by [`Dest::snapshot`].
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Dest::HostBuf { addr: r.u64()? }),
-            1 => Ok(Dest::Mapped {
-                node: read_node(r)?,
-                handler: read_handler(r)?,
-                base_addr: r.u32()?,
-            }),
-            _ => Err(SnapError::Malformed("dest tag")),
-        }
-    }
-}
-
-impl HostMsg {
-    /// Writes this message (payload as an owned byte copy).
-    fn snapshot(&self, w: &mut SnapWriter) {
-        snap_node(w, self.src);
-        snap_opt_handler(w, self.handler);
-        w.u32(self.addr);
-        w.bytes(&self.data);
-        w.u32(self.seq);
-    }
-
-    /// Reads a message written by [`HostMsg::snapshot`].
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(HostMsg {
-            src: read_node(r)?,
-            handler: read_opt_handler(r)?,
-            addr: r.u32()?,
-            data: Bytes::from(r.bytes()?),
-            seq: r.u32()?,
-        })
-    }
-}
-
 /// Identifies an I/O request issued by a host program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 
+snap_fields!(ReqId(id));
+
+/// Written like an optional `u64`: presence byte plus a value slot.
+impl SnapOpt for ReqId {
+    const DENSE: bool = true;
+    fn blank() -> Option<Self> {
+        Some(ReqId(0))
+    }
+}
+
 /// Identifies a stored file (placed on one TCA's disk array).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub usize);
+
+snap_fields!(FileId(index));
 
 /// Where a read's data should be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,8 +71,20 @@ pub enum Dest {
     },
 }
 
+/// A placeholder for snapshot decoding to overwrite.
+impl Default for Dest {
+    fn default() -> Self {
+        Dest::HostBuf { addr: 0 }
+    }
+}
+
+snap_enum!(Dest, "dest tag" {
+    0 => HostBuf { addr },
+    1 => Mapped { node, handler, base_addr },
+});
+
 /// A message as seen by a host program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HostMsg {
     /// Sending node.
     pub src: NodeId,
@@ -207,6 +99,8 @@ pub struct HostMsg {
     /// Flow sequence number.
     pub seq: u32,
 }
+
+snap_fields! { HostMsg { src, handler, addr, data, seq } }
 
 /// Metadata of a stored file.
 #[derive(Debug, Clone, Copy)]
@@ -248,7 +142,7 @@ impl FileStore {
 }
 
 /// Shared in-flight state of one host-issued I/O request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct IoState {
     pub(crate) host: NodeId,
     pub(crate) dest: Dest,
@@ -275,6 +169,12 @@ pub(crate) struct IoState {
     pub(crate) timeout: SimDuration,
 }
 
+snap_fields! {
+    IoState {
+        host, dest, remaining, bytes, tca, file, offset, got, lens, faulted, attempt, timeout,
+    }
+}
+
 /// Per-request reorder buffer for mapped flows under fault injection:
 /// a stream handler must see its packets in sequence order, so late
 /// retransmits park arrivals here until the gap fills.
@@ -283,6 +183,8 @@ pub(crate) struct FlowState {
     pub(crate) next_seq: u32,
     pub(crate) buffered: BTreeMap<u32, asan_net::Packet>,
 }
+
+snap_fields! { FlowState { next_seq, buffered } }
 
 /// One scheduled occurrence in the cluster simulation.
 ///
@@ -422,286 +324,27 @@ pub enum Event {
     },
 }
 
-impl IoState {
-    /// Writes every field of this in-flight request's shared state.
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        snap_node(w, self.host);
-        self.dest.snapshot(w);
-        w.usize(self.remaining);
-        w.u64(self.bytes);
-        snap_node(w, self.tca);
-        w.usize(self.file.0);
-        w.u64(self.offset);
-        w.usize(self.got.len());
-        for g in &self.got {
-            w.bool(*g);
-        }
-        w.usize(self.lens.len());
-        for l in &self.lens {
-            w.u32(*l);
-        }
-        w.bytes(&self.faulted);
-        w.u32(self.attempt);
-        w.dur(self.timeout);
-    }
-
-    /// Reads a request state written by [`IoState::snapshot`].
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let host = read_node(r)?;
-        let dest = Dest::restore(r)?;
-        let remaining = r.usize()?;
-        let bytes = r.u64()?;
-        let tca = read_node(r)?;
-        let file = FileId(r.usize()?);
-        let offset = r.u64()?;
-        let n = r.usize()?;
-        let mut got = Vec::with_capacity(n);
-        for _ in 0..n {
-            got.push(r.bool()?);
-        }
-        let n = r.usize()?;
-        let mut lens = Vec::with_capacity(n);
-        for _ in 0..n {
-            lens.push(r.u32()?);
-        }
-        let faulted = r.bytes()?;
-        let attempt = r.u32()?;
-        let timeout = r.dur()?;
-        Ok(IoState {
-            host,
-            dest,
-            remaining,
-            bytes,
-            tca,
-            file,
-            offset,
-            got,
-            lens,
-            faulted,
-            attempt,
-            timeout,
-        })
+/// A placeholder for snapshot decoding to overwrite.
+impl Default for Event {
+    fn default() -> Self {
+        Event::Start(NodeId(0))
     }
 }
 
-impl FlowState {
-    /// Writes this flow's reorder cursor and parked packets.
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.u32(self.next_seq);
-        w.usize(self.buffered.len());
-        for (seq, pkt) in &self.buffered {
-            w.u32(*seq);
-            snap_packet(w, pkt);
-        }
-    }
-
-    /// Reads a flow state written by [`FlowState::snapshot`].
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let next_seq = r.u32()?;
-        let n = r.usize()?;
-        let mut buffered = BTreeMap::new();
-        for _ in 0..n {
-            let seq = r.u32()?;
-            buffered.insert(seq, read_packet(r)?);
-        }
-        Ok(FlowState { next_seq, buffered })
-    }
-}
-
-impl Event {
-    /// Writes this event (variant tag byte + fields, declaration order).
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Start(n) => {
-                w.u8(0);
-                snap_node(w, *n);
-            }
-            Event::PacketToHost { host, msg, io_req } => {
-                w.u8(1);
-                snap_node(w, *host);
-                msg.snapshot(w);
-                snap_opt_req(w, *io_req);
-            }
-            Event::PacketToSwitch {
-                sw,
-                pkt,
-                payload_start,
-                payload_end,
-                io_req,
-                trace,
-            } => {
-                w.u8(2);
-                snap_node(w, *sw);
-                snap_packet(w, pkt);
-                w.time(*payload_start);
-                w.time(*payload_end);
-                snap_opt_req(w, *io_req);
-                w.u64(*trace);
-            }
-            Event::FallbackDispatch { sw, pkt, trace } => {
-                w.u8(3);
-                snap_node(w, *sw);
-                snap_packet(w, pkt);
-                w.u64(*trace);
-            }
-            Event::PacketToTca { tca, bytes } => {
-                w.u8(4);
-                snap_node(w, *tca);
-                w.u64(*bytes);
-            }
-            Event::IoRequestAtTca {
-                tca,
-                req,
-                file,
-                offset,
-                len,
-                dest,
-                attempt,
-            } => {
-                w.u8(5);
-                snap_node(w, *tca);
-                w.u64(req.0);
-                w.usize(file.0);
-                w.u64(*offset);
-                w.u64(*len);
-                dest.snapshot(w);
-                w.u32(*attempt);
-            }
-            Event::SwitchIoAtTca { r, attempt } => {
-                w.u8(6);
-                snap_node(w, r.tca);
-                w.usize(r.file);
-                w.u64(r.offset);
-                w.u64(r.len);
-                snap_node(w, r.deliver_to);
-                snap_opt_handler(w, r.deliver_handler);
-                w.u32(r.deliver_addr);
-                w.time(r.ready);
-                w.u32(*attempt);
-            }
-            Event::IoComplete { host, req } => {
-                w.u8(7);
-                snap_node(w, *host);
-                w.u64(req.0);
-            }
-            Event::CompletionNotice { tca, host, req } => {
-                w.u8(8);
-                snap_node(w, *tca);
-                snap_node(w, *host);
-                w.u64(req.0);
-            }
-            Event::InjectIoPacket {
-                src,
-                dst,
-                handler,
-                addr,
-                payload,
-                seq,
-                io_req,
-                trace,
-            } => {
-                w.u8(9);
-                snap_node(w, *src);
-                snap_node(w, *dst);
-                snap_opt_handler(w, *handler);
-                w.u32(*addr);
-                w.bytes(payload);
-                w.u32(*seq);
-                snap_opt_req(w, *io_req);
-                w.u64(*trace);
-            }
-            Event::Retransmit { req, seq } => {
-                w.u8(10);
-                w.u64(req.0);
-                w.u32(*seq);
-            }
-            Event::RequestTimeout { req, attempt } => {
-                w.u8(11);
-                w.u64(req.0);
-                w.u32(*attempt);
-            }
-        }
-    }
-
-    /// Reads an event written by [`Event::snapshot`].
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
-        Ok(match r.u8()? {
-            0 => Event::Start(read_node(r)?),
-            1 => Event::PacketToHost {
-                host: read_node(r)?,
-                msg: HostMsg::restore(r)?,
-                io_req: read_opt_req(r)?,
-            },
-            2 => Event::PacketToSwitch {
-                sw: read_node(r)?,
-                pkt: read_packet(r)?,
-                payload_start: r.time()?,
-                payload_end: r.time()?,
-                io_req: read_opt_req(r)?,
-                trace: r.u64()?,
-            },
-            3 => Event::FallbackDispatch {
-                sw: read_node(r)?,
-                pkt: read_packet(r)?,
-                trace: r.u64()?,
-            },
-            4 => Event::PacketToTca {
-                tca: read_node(r)?,
-                bytes: r.u64()?,
-            },
-            5 => Event::IoRequestAtTca {
-                tca: read_node(r)?,
-                req: ReqId(r.u64()?),
-                file: FileId(r.usize()?),
-                offset: r.u64()?,
-                len: r.u64()?,
-                dest: Dest::restore(r)?,
-                attempt: r.u32()?,
-            },
-            6 => Event::SwitchIoAtTca {
-                r: SwitchIoReq {
-                    tca: read_node(r)?,
-                    file: r.usize()?,
-                    offset: r.u64()?,
-                    len: r.u64()?,
-                    deliver_to: read_node(r)?,
-                    deliver_handler: read_opt_handler(r)?,
-                    deliver_addr: r.u32()?,
-                    ready: r.time()?,
-                },
-                attempt: r.u32()?,
-            },
-            7 => Event::IoComplete {
-                host: read_node(r)?,
-                req: ReqId(r.u64()?),
-            },
-            8 => Event::CompletionNotice {
-                tca: read_node(r)?,
-                host: read_node(r)?,
-                req: ReqId(r.u64()?),
-            },
-            9 => Event::InjectIoPacket {
-                src: read_node(r)?,
-                dst: read_node(r)?,
-                handler: read_opt_handler(r)?,
-                addr: r.u32()?,
-                payload: Bytes::from(r.bytes()?),
-                seq: r.u32()?,
-                io_req: read_opt_req(r)?,
-                trace: r.u64()?,
-            },
-            10 => Event::Retransmit {
-                req: ReqId(r.u64()?),
-                seq: r.u32()?,
-            },
-            11 => Event::RequestTimeout {
-                req: ReqId(r.u64()?),
-                attempt: r.u32()?,
-            },
-            _ => return Err(SnapError::Malformed("event tag")),
-        })
-    }
-}
+snap_enum!(Event, "event tag" {
+    0 => Start(node),
+    1 => PacketToHost { host, msg, io_req },
+    2 => PacketToSwitch { sw, pkt, payload_start, payload_end, io_req, trace },
+    3 => FallbackDispatch { sw, pkt, trace },
+    4 => PacketToTca { tca, bytes },
+    5 => IoRequestAtTca { tca, req, file, offset, len, dest, attempt },
+    6 => SwitchIoAtTca { r, attempt },
+    7 => IoComplete { host, req },
+    8 => CompletionNotice { tca, host, req },
+    9 => InjectIoPacket { src, dst, handler, addr, payload, seq, io_req, trace },
+    10 => Retransmit { req, seq },
+    11 => RequestTimeout { req, attempt },
+});
 
 impl Traceable for Event {
     fn trace_label(&self) -> &'static str {

@@ -15,7 +15,8 @@
 
 use asan_cpu::Cpu;
 use asan_net::{HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::Snap;
+use asan_sim::snap_fields;
 use asan_sim::SimTime;
 
 use crate::atb::Atb;
@@ -63,7 +64,7 @@ pub struct OutMsg {
 }
 
 /// A disk request initiated *from the switch* (used by Tar).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchIoReq {
     /// The TCA to read from.
     pub tca: NodeId,
@@ -82,6 +83,12 @@ pub struct SwitchIoReq {
     pub deliver_addr: u32,
     /// When the request left the handler.
     pub ready: SimTime,
+}
+
+snap_fields! {
+    SwitchIoReq {
+        tca, file, offset, len, deliver_to, deliver_handler, deliver_addr, ready,
+    }
 }
 
 /// Kernel services available to a handler during one invocation.
@@ -372,7 +379,10 @@ impl HandlerCtx<'_> {
 /// Implementations hold their persistent per-flow state (bit-vectors,
 /// DFA state, MD5 chains…) as ordinary Rust fields; each arriving packet
 /// of the flow produces one `on_message` invocation, in arrival order.
-pub trait Handler {
+/// That state is snapshotted through the required [`Snap`] supertrait,
+/// usually declared with [`asan_sim::snap_fields!`] (an empty list for a
+/// stateless handler), so a restored run continues exactly.
+pub trait Handler: Snap {
     /// Processes one arriving active message.
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>);
 
@@ -388,24 +398,5 @@ pub trait Handler {
     /// support it).
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
-    }
-
-    /// Writes the handler's persistent per-flow state into a snapshot.
-    /// The default writes nothing, which is correct only for stateless
-    /// handlers — any handler whose fields evolve across invocations
-    /// must override both this and
-    /// [`restore_state`](Handler::restore_state) or a restored run will
-    /// diverge from the unbroken one.
-    fn snapshot_state(&self, _w: &mut SnapWriter) {}
-
-    /// Overwrites the handler's persistent state from a snapshot
-    /// written by [`snapshot_state`](Handler::snapshot_state).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the snapshot bytes cannot be
-    /// decoded into this handler's state.
-    fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
     }
 }

@@ -23,7 +23,7 @@ use asan_net::{Hop, NodeId};
 use asan_sim::faults::fnv1a_fold;
 use asan_sim::hist::LogHistogram;
 use asan_sim::series::{self, TimeSeries, Timeline};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::trace::{Span, SpanKind, TraceCtx, TraceSink};
 use asan_sim::{SimDuration, SimTime};
 
@@ -236,10 +236,10 @@ impl fmt::Display for MetricsReport {
 /// configuration pays no formatting or I/O cost.
 #[derive(Debug, Default)]
 pub struct Probe {
-    sink: Option<Box<dyn TraceSink>>, // asan-lint: allow(snapshot-completeness)
+    sink: Option<Box<dyn TraceSink>>,
     /// Scratch buffer for per-hop records, reused across transmits
     /// (always empty between events, so never snapshotted).
-    hop_buf: Vec<Hop>, // asan-lint: allow(snapshot-completeness)
+    hop_buf: Vec<Hop>,
     packet_e2e: LogHistogram,
     handler_occupancy: LogHistogram,
     disk_service: LogHistogram,
@@ -491,48 +491,6 @@ impl Probe {
         );
     }
 
-    /// Writes the probe's dynamic state (histograms, the span and
-    /// trace cursors, live request traces, and the time-series). The
-    /// trace sink is a process-local resource and is not captured; a
-    /// restored run re-installs one if tracing is enabled.
-    pub(crate) fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.packet_e2e.snapshot(w);
-        self.handler_occupancy.snapshot(w);
-        self.disk_service.snapshot(w);
-        self.buffer_wait.snapshot(w);
-        self.packet_hops.snapshot(w);
-        w.u64(self.next_id);
-        w.u64(self.next_trace);
-        w.u64(self.req_traces.len() as u64);
-        for (&req, &trace) in &self.req_traces {
-            w.u64(req);
-            w.u64(trace);
-        }
-        self.series.snapshot(w);
-    }
-
-    /// Overwrites the probe's dynamic state from a snapshot, keeping
-    /// any installed sink.
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.packet_e2e = LogHistogram::restore(r)?;
-        self.handler_occupancy = LogHistogram::restore(r)?;
-        self.disk_service = LogHistogram::restore(r)?;
-        self.buffer_wait = LogHistogram::restore(r)?;
-        self.packet_hops = LogHistogram::restore(r)?;
-        self.next_id = r.u64()?;
-        self.next_trace = r.u64()?;
-        let n = r.u64()?;
-        let mut req_traces = BTreeMap::new();
-        for _ in 0..n {
-            let req = r.u64()?;
-            let trace = r.u64()?;
-            req_traces.insert(req, trace);
-        }
-        self.req_traces = req_traces;
-        self.series = TimeSeries::restore(r)?;
-        Ok(())
-    }
-
     /// Snapshot of the probe-side histograms and timeline as a
     /// partially filled report (credit stalls and phases are merged in
     /// by [`Cluster::metrics`](crate::cluster::Cluster::metrics)).
@@ -550,9 +508,19 @@ impl Probe {
     }
 }
 
+// The installed sink is kept across a restore; the hop scratch buffer is
+// always empty between events.
+snap_fields! {
+    Probe {
+        packet_e2e, handler_occupancy, disk_service, buffer_wait, packet_hops, next_id, next_trace,
+        req_traces, series, static sink, static hop_buf,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
     use asan_sim::trace::RingSink;
 
     fn hop(link: u32, from: u16, to: u16, wait_ns: u64, start_ns: u64, ser_ns: u64) -> Hop {
@@ -694,11 +662,11 @@ mod tests {
         );
         p.sample_queue_depth(SimTime::from_ns(3), 17);
         let mut w = SnapWriter::new();
-        p.snapshot_state(&mut w);
+        p.save(&mut w);
         let bytes = w.into_bytes();
         let mut q = Probe::default();
         let mut r = SnapReader::new(&bytes).unwrap();
-        q.restore_state(&mut r).unwrap();
+        q.load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(q.trace_for_req(42).trace, ctx.trace);
         assert_eq!(q.snapshot().timeline, p.snapshot().timeline);

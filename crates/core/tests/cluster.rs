@@ -31,6 +31,7 @@ struct OneRead {
     file: FileId,
     bytes_seen: u64,
 }
+asan_sim::snap_fields! { OneRead { static file, bytes_seen } }
 
 impl HostProgram for OneRead {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -77,6 +78,7 @@ struct CountHandler {
     total: u64,
     expect: u64,
 }
+asan_sim::snap_fields! { CountHandler { static needle, static host, count, total, static expect } }
 
 impl Handler for CountHandler {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -96,6 +98,7 @@ struct ActiveCount {
     sw: NodeId,
     result: Option<u64>,
 }
+asan_sim::snap_fields! { ActiveCount { static file, static sw, result } }
 
 impl HostProgram for ActiveCount {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -164,6 +167,7 @@ fn active_read_invokes_handler_and_filters_traffic() {
 struct Pinger {
     peer: NodeId,
 }
+asan_sim::snap_fields! { Pinger { static peer } }
 impl HostProgram for Pinger {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.send(self.peer, None, 0, vec![1u8; 100]);
@@ -173,6 +177,7 @@ impl HostProgram for Pinger {
 struct Ponger {
     got: usize,
 }
+asan_sim::snap_fields! { Ponger { got } }
 impl HostProgram for Ponger {
     fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
     fn on_message(&mut self, ctx: &mut HostCtx<'_>, msg: &HostMsg) {
@@ -213,6 +218,7 @@ fn non_active_traffic_unaffected_by_busy_switch_cpu() {
     struct Storm {
         sw: NodeId,
     }
+    asan_sim::snap_fields! { Storm { static sw } }
     impl HostProgram for Storm {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
             for i in 0..20u32 {
@@ -222,6 +228,7 @@ fn non_active_traffic_unaffected_by_busy_switch_cpu() {
         }
     }
     struct Burn;
+    asan_sim::snap_fields! { Burn {} }
     impl Handler for Burn {
         fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
             ctx.compute(100_000);
@@ -251,6 +258,7 @@ fn prefetch_two_outstanding_overlaps_io() {
         next: u64,
         blocks: u64,
     }
+    asan_sim::snap_fields! { Serial { static file, next, static blocks } }
     impl HostProgram for Serial {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
             ctx.read_file(self.file, 0, 65536, Dest::HostBuf { addr: 0x1000_0000 });
@@ -277,6 +285,7 @@ fn prefetch_two_outstanding_overlaps_io() {
         done: u64,
         blocks: u64,
     }
+    asan_sim::snap_fields! { Pref { static file, issued, done, static blocks } }
     impl HostProgram for Pref {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
             for i in 0..2.min(self.blocks) {
@@ -464,6 +473,7 @@ fn tar_style_switch_initiated_read_bypasses_host() {
         file: usize,
         len: u64,
     }
+    asan_sim::snap_fields! { TarHandler { static tca, static archive, static file, static len } }
     impl Handler for TarHandler {
         fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
             let _ = ctx.payload();
@@ -473,6 +483,7 @@ fn tar_style_switch_initiated_read_bypasses_host() {
     struct Trigger {
         sw: NodeId,
     }
+    asan_sim::snap_fields! { Trigger { static sw } }
     impl HostProgram for Trigger {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
             ctx.send(self.sw, Some(HandlerId::new(2)), 0, vec![0u8; 64]);
@@ -513,6 +524,7 @@ struct SumStage {
     got: usize,
     sum: u64,
 }
+asan_sim::snap_fields! { SumStage { static expect, static parent, static collector, got, sum } }
 
 impl Handler for SumStage {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -537,6 +549,7 @@ struct Contributor {
     wait: bool,
     result: Option<u64>,
 }
+asan_sim::snap_fields! { Contributor { static value, static ingress, wait, result } }
 
 impl HostProgram for Contributor {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {

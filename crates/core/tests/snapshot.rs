@@ -12,7 +12,6 @@ use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::topo::{SwitchSpec, TopologyBuilder};
 use asan_net::{HandlerId, LinkConfig, NodeId};
 use asan_sim::faults::FaultPlan;
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 fn single_switch(hosts: usize, tcas: usize) -> (TopologyBuilder, Vec<NodeId>, Vec<NodeId>, NodeId) {
     let mut b = TopologyBuilder::new();
@@ -29,12 +28,13 @@ fn single_switch(hosts: usize, tcas: usize) -> (TopologyBuilder, Vec<NodeId>, Ve
 }
 
 /// Issues an active read and waits for the handler's result message.
-/// Stateful across hooks, so it implements the snapshot hooks.
+/// Stateful across hooks: `result` is declared as snapshot state.
 struct ActiveCount {
-    file: FileId, // asan-lint: allow(snapshot-completeness)
-    sw: NodeId,   // asan-lint: allow(snapshot-completeness)
+    file: FileId,
+    sw: NodeId,
     result: Option<u64>,
 }
+asan_sim::snap_fields! { ActiveCount { static file, static sw, result } }
 
 impl HostProgram for ActiveCount {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -54,25 +54,19 @@ impl HostProgram for ActiveCount {
         self.result = Some(u64::from_le_bytes(msg.data[..8].try_into().unwrap()));
         ctx.finish();
     }
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.opt_u64(self.result);
-    }
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.result = r.opt_u64()?;
-        Ok(())
-    }
 }
 
 /// Counts matching bytes in the switch; sends the count home once the
 /// expected volume has streamed through. Running state (count, total)
-/// crosses invocations, so it implements the snapshot hooks.
+/// crosses invocations, so the declaration lists it as snapshot state.
 struct CountHandler {
-    needle: u8,   // asan-lint: allow(snapshot-completeness)
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    needle: u8,
+    host: NodeId,
     count: u64,
     total: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
+    expect: u64,
 }
+asan_sim::snap_fields! { CountHandler { static needle, static host, count, total, static expect } }
 
 impl Handler for CountHandler {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -83,15 +77,6 @@ impl Handler for CountHandler {
         if self.total >= self.expect {
             ctx.send(self.host, None, 0, &self.count.to_le_bytes());
         }
-    }
-    fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u64(self.total);
-    }
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.count = r.u64()?;
-        self.total = r.u64()?;
-        Ok(())
     }
 }
 
@@ -251,6 +236,32 @@ fn restore_rejects_truncated_bytes() {
     extended.push(0xFF);
     let mut c = build_active(None, 16 * 1024);
     assert!(c.restore(&extended).is_err());
+}
+
+/// A corrupt length or count anywhere in a snapshot fails as a typed
+/// error, never a panic or an allocation abort: each aligned 8-byte
+/// window of a mid-run snapshot is overwritten with `u64::MAX` in turn.
+#[test]
+fn restore_survives_u64_max_in_every_window() {
+    let mut a = build_active(None, 16 * 1024);
+    assert!(a.run_events(60).unwrap().is_none());
+    let mut bytes = a.snapshot();
+    // A failed load leaves partial state behind, but every load
+    // overwrites all of it again, so one target cluster serves.
+    let mut b = build_active(None, 16 * 1024);
+    for at in (0..bytes.len() - 8).step_by(8) {
+        let saved: [u8; 8] = bytes[at..at + 8].try_into().unwrap();
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = b.restore(&bytes);
+        }));
+        assert!(
+            outcome.is_ok(),
+            "restore panicked with u64::MAX at byte {at}"
+        );
+        bytes[at..at + 8].copy_from_slice(&saved);
+    }
+    b.restore(&bytes).unwrap();
 }
 
 /// Forking: one warmed-up snapshot seeds several continuations; each

@@ -13,7 +13,7 @@
 //! switch hierarchy config and a smaller code footprint).
 
 use asan_mem::hierarchy::{HierarchyConfig, MemoryHierarchy};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::TimeBreakdown;
 use asan_sim::{SimDuration, SimTime};
 
@@ -99,7 +99,7 @@ impl CpuConfig {
 /// ```
 #[derive(Debug)]
 pub struct Cpu {
-    cfg: CpuConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: CpuConfig,
     mem: MemoryHierarchy,
     now: SimTime,
     breakdown: TimeBreakdown,
@@ -332,37 +332,18 @@ impl Cpu {
         self.breakdown = TimeBreakdown::default();
         self.instructions = 0;
     }
+}
 
-    /// Writes the core's dynamic state: local clock, time breakdown,
-    /// fetch cursor, retired-instruction count, the warm-code flag and
-    /// the full memory hierarchy (cache tags, TLB residency, DRAM rows,
-    /// MSHRs).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("cpu");
-        w.time(self.now);
-        self.breakdown.snapshot(w);
-        w.u64(self.fetch_cursor);
-        w.u64(self.instructions);
-        w.bool(self.warm_code);
-        self.mem.snapshot(w);
-    }
-
-    /// Overwrites this core's dynamic state from a snapshot taken of a
-    /// core with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("cpu")?;
-        self.now = r.time()?;
-        self.breakdown = TimeBreakdown::restore(r)?;
-        self.fetch_cursor = r.u64()?;
-        self.instructions = r.u64()?;
-        self.warm_code = r.bool()?;
-        self.mem.restore(r)
+snap_fields! {
+    Cpu {
+        "cpu", now, breakdown, fetch_cursor, instructions, warm_code, mem, static cfg,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::Snap;
 
     fn host() -> Cpu {
         Cpu::new(CpuConfig::host())
@@ -586,11 +567,11 @@ mod tests {
             c.idle_until(c.now() + SimDuration::from_us(3));
 
             let mut w = SnapWriter::new();
-            c.snapshot(&mut w);
+            c.save(&mut w);
             let bytes = w.into_bytes();
             let mut back = Cpu::new(cfg);
             let mut r = SnapReader::new(&bytes).unwrap();
-            back.restore(&mut r).unwrap();
+            Snap::load(&mut back, &mut r).unwrap();
             r.finish().unwrap();
 
             assert_eq!(back.now(), c.now());
@@ -617,11 +598,11 @@ mod tests {
         let _ = c.memory_mut(); // drops to the line-by-line fetch path
         c.compute(64);
         let mut w = SnapWriter::new();
-        c.snapshot(&mut w);
+        c.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = host(); // constructs with warm_code = true
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        Snap::load(&mut back, &mut r).unwrap();
         r.finish().unwrap();
         c.compute(10_000);
         back.compute(10_000);

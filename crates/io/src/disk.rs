@@ -10,7 +10,7 @@
 //! previous one streams at the platter rate, anything else pays the
 //! average seek plus half a rotation.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::Counter;
 use asan_sim::{SimDuration, SimTime};
 
@@ -74,6 +74,8 @@ pub struct DiskStats {
     pub bytes: Counter,
 }
 
+snap_fields! { DiskStats { requests, seeks, bytes } }
+
 /// A single disk mechanism.
 ///
 /// The head starts parked at byte 0 — the paper "assumes a
@@ -95,7 +97,7 @@ pub struct DiskStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Disk {
-    cfg: DiskConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: DiskConfig,
     head_pos: Option<u64>,
     busy_until: SimTime,
     stats: DiskStats,
@@ -171,36 +173,14 @@ impl Disk {
     pub fn write(&mut self, offset: u64, len: u64, now: SimTime) -> DiskXfer {
         self.read(offset, len, now)
     }
-
-    /// Writes the head position, mechanism occupancy, pending
-    /// seek-spike flag and statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.opt_u64(self.head_pos);
-        w.time(self.busy_until);
-        w.bool(self.force_seek);
-        self.stats.requests.snapshot(w);
-        self.stats.seeks.snapshot(w);
-        self.stats.bytes.snapshot(w);
-    }
-
-    /// Overwrites this disk's dynamic state from a snapshot taken of a
-    /// disk with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.head_pos = r.opt_u64()?;
-        self.busy_until = r.time()?;
-        self.force_seek = r.bool()?;
-        self.stats = DiskStats {
-            requests: Counter::restore(r)?,
-            seeks: Counter::restore(r)?,
-            bytes: Counter::restore(r)?,
-        };
-        Ok(())
-    }
 }
+
+snap_fields! { Disk { head_pos, busy_until, force_seek, stats, static cfg } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn discontiguous_access_pays_seek_and_rotation() {
@@ -279,11 +259,11 @@ mod tests {
         d.read(0, 4096, SimTime::ZERO);
         d.force_seek_next();
         let mut w = SnapWriter::new();
-        d.snapshot(&mut w);
+        d.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = Disk::new(DiskConfig::paper());
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
         // Contiguous read: the restored disk still pays the one-shot
         // forced seek and queues behind the same busy window.

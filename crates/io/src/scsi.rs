@@ -5,7 +5,7 @@
 //! shared medium: the two disks' streams interleave in bursts, each
 //! burst paying arbitration + selection before its data phase.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::Counter;
 use asan_sim::{SimDuration, SimTime};
 
@@ -64,6 +64,8 @@ pub struct ScsiStats {
     pub bytes: Counter,
 }
 
+snap_fields! { ScsiStats { bursts, bytes } }
+
 /// The shared SCSI bus.
 ///
 /// # Example
@@ -77,7 +79,7 @@ pub struct ScsiStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScsiBus {
-    cfg: ScsiConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: ScsiConfig,
     busy_until: SimTime,
     stats: ScsiStats,
 }
@@ -132,25 +134,9 @@ impl ScsiBus {
             len,
         }
     }
-
-    /// Writes the bus occupancy and statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.time(self.busy_until);
-        self.stats.bursts.snapshot(w);
-        self.stats.bytes.snapshot(w);
-    }
-
-    /// Overwrites this bus's dynamic state from a snapshot taken of a
-    /// bus with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.busy_until = r.time()?;
-        self.stats = ScsiStats {
-            bursts: Counter::restore(r)?,
-            bytes: Counter::restore(r)?,
-        };
-        Ok(())
-    }
 }
+
+snap_fields! { ScsiBus { busy_until, stats, static cfg } }
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! each 512-byte packet of a read is available at the TCA's network
 //! port — which the cluster feeds into the fabric.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::{SimDuration, SimTime};
 
 use crate::disk::{Disk, DiskConfig};
@@ -88,7 +88,7 @@ impl ReadSchedule {
 /// ```
 #[derive(Debug)]
 pub struct Storage {
-    cfg: StorageConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: StorageConfig,
     disks: Vec<Disk>,
     bus: ScsiBus,
 }
@@ -256,35 +256,14 @@ impl Storage {
         }
         complete
     }
-
-    /// Writes every disk's mechanical state and the bus occupancy.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("storage");
-        w.usize(self.disks.len());
-        for d in &self.disks {
-            d.snapshot(w);
-        }
-        self.bus.snapshot(w);
-    }
-
-    /// Overwrites this array's dynamic state from a snapshot taken of
-    /// an array with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("storage")?;
-        let n = r.usize()?;
-        if n != self.disks.len() {
-            return Err(SnapError::Malformed("storage disk count mismatch"));
-        }
-        for d in &mut self.disks {
-            d.restore(r)?;
-        }
-        self.bus.restore(r)
-    }
 }
+
+snap_fields! { Storage { "storage", fixed disks, bus, static cfg } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn packet_count_and_sizes() {
@@ -384,11 +363,11 @@ mod tests {
         let mut s = Storage::new(StorageConfig::paper());
         s.read_stream(0, 128 * 1024, SimTime::ZERO);
         let mut w = SnapWriter::new();
-        s.snapshot(&mut w);
+        s.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = Storage::new(StorageConfig::paper());
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
         // Continuing the contiguous stream: identical packet schedules
         // (no re-seek, same bus queueing).

@@ -4,8 +4,7 @@
 //! file, which is exactly right for token-local properties (a
 //! `HashMap` ident, a wall-clock path) and exactly wrong for the
 //! contracts the parallel-core refactor needs: an `Event` variant
-//! emitted in one crate and matched in another, a `snapshot` writer in
-//! one file paired with a `restore` reader in a second. This module
+//! emitted in one crate and matched in another. This module
 //! walks every lexed file once and extracts the item structure those
 //! cross-file rules need:
 //!
@@ -448,7 +447,7 @@ fn impl_target(header: &[Token]) -> Option<String> {
 /// `match` in the range, nested matches included. An `Event::X`
 /// reference inside one of these spans is being *matched*; anywhere
 /// else it is being *constructed* (or is a path call like
-/// `Event::restore`, which the caller filters by case).
+/// `Event::default`, which the caller filters by case).
 pub fn pattern_spans(toks: &[Token], range: Range<usize>) -> Vec<Range<usize>> {
     let mut spans = Vec::new();
     let mut i = range.start;

@@ -7,8 +7,7 @@
 //! unordered map iteration, wall-clock reads, ambient randomness,
 //! silently truncating casts — plus the structural contracts the
 //! parallel-core refactor leans on (the `Event` vocabulary is closed
-//! over the workspace, snapshot writers mirror their restore readers,
-//! engine domains share no mutable state).
+//! over the workspace, engine domains share no mutable state).
 //!
 //! # How a run works
 //!
@@ -472,19 +471,5 @@ mod tests {
         assert_eq!(d[0].rule, "event-flow-closure");
         assert_eq!(d[0].file, "crates/core/src/events.rs");
         assert!(d[0].message.contains("Orphan"));
-    }
-
-    #[test]
-    fn snapshot_symmetry_spans_files() {
-        let writer = "impl Port { pub fn snapshot(&self, w: &mut SnapWriter) { w.u32(self.seq); w.u64(self.credits); } }\n";
-        let reader = "impl Port { pub fn restore(&mut self, r: &mut SnapReader) { self.seq = r.u32()?; self.credits = r.u32()? as u64; Ok(()) } }\n";
-        let index = WorkspaceIndex::build(vec![
-            ("crates/net/src/port.rs".to_string(), lexer::lex(writer)),
-            ("crates/net/src/restore.rs".to_string(), lexer::lex(reader)),
-        ]);
-        let d = suppress_and_audit(&index, analyze(&index, false));
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "snapshot-symmetry");
-        assert_eq!(d[0].file, "crates/net/src/restore.rs");
     }
 }

@@ -86,7 +86,7 @@ impl WorkspaceRule for EventFlowClosure {
                 let Some(v) = toks.get(i + 2).filter(|v| v.kind == Kind::Ident) else {
                     continue;
                 };
-                // `Event::restore(...)` and friends are associated
+                // `Event::default()` and friends are associated
                 // fns, not variants; variants are UpperCamelCase.
                 if !v.text.starts_with(char::is_uppercase) {
                     continue;

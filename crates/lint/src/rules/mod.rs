@@ -5,9 +5,7 @@
 //! (a `HashMap` ident, a wall-clock path). **Workspace rules**
 //! ([`WorkspaceRule`]) run over the phase-1 [`WorkspaceIndex`] and
 //! check cross-file contracts — an `Event` variant constructed in one
-//! crate must be matched by exactly one engine in another, a
-//! `snapshot` writer must mirror its `restore` reader wherever that
-//! reader lives. Scoping (which workspace paths a file rule patrols)
+//! crate must be matched by exactly one engine in another. Scoping (which workspace paths a file rule patrols)
 //! lives on the rule itself so the driver stays generic; `--scope-all`
 //! overrides scoping, which is how the fixture tests exercise rules
 //! outside their home crates.
@@ -23,8 +21,6 @@ mod event_exhaustiveness;
 mod event_flow_closure;
 mod hot_path_clone;
 mod lossy_cast;
-mod snapshot_completeness;
-mod snapshot_symmetry;
 mod unit_mixing;
 mod unordered_iteration;
 mod unused_allow;
@@ -32,8 +28,10 @@ mod wall_clock;
 
 /// Catalog version, bumped whenever a rule is added, removed, or
 /// renamed. `1` was the eight-rule per-file era (PRs 3–6); `2` added
-/// the five cross-file rules built on the workspace index.
-pub const CATALOG_VERSION: u32 = 2;
+/// the five cross-file rules built on the workspace index; `3` dropped
+/// `snapshot-completeness` and `snapshot-symmetry`, whose properties
+/// the `Snap` field-list declarations now enforce at compile time.
+pub const CATALOG_VERSION: u32 = 3;
 
 /// One per-file invariant check.
 pub trait Rule {
@@ -91,7 +89,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(event_exhaustiveness::EventExhaustiveness),
         Box::new(digest_completeness::DigestCompleteness),
         Box::new(hot_path_clone::NoHotPathClone),
-        Box::new(snapshot_completeness::SnapshotCompleteness),
         Box::new(unit_mixing::UnitMixing),
     ]
 }
@@ -102,7 +99,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
     vec![
         Box::new(event_flow_closure::EventFlowClosure),
-        Box::new(snapshot_symmetry::SnapshotSymmetry),
         Box::new(domain_isolation::DomainIsolation),
     ]
 }

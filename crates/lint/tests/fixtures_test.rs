@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// The thirteen rules and their fixture basenames.
-const RULES: [&str; 13] = [
+/// The eleven rules and their fixture basenames.
+const RULES: [&str; 11] = [
     "no-unordered-iteration",
     "no-wall-clock",
     "no-ambient-randomness",
@@ -15,10 +15,8 @@ const RULES: [&str; 13] = [
     "event-exhaustiveness",
     "digest-completeness",
     "no-hot-path-clone",
-    "snapshot-completeness",
     "no-unit-mixing",
     "event-flow-closure",
-    "snapshot-symmetry",
     "domain-isolation",
     "unused-allow",
 ];

@@ -5,7 +5,8 @@
 //! the applications themselves). It is used for the host L1I/L1D/L2 and
 //! the switch CPU's 4 KB I-cache and 1 KB D-cache.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapOpt, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::Counter;
 
 /// Configuration of one cache level.
@@ -153,23 +154,9 @@ impl CacheStats {
             self.misses.get() as f64 / total as f64
         }
     }
-
-    /// Writes all three counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.hits.snapshot(w);
-        self.misses.snapshot(w);
-        self.writebacks.snapshot(w);
-    }
-
-    /// Reads stats written by [`CacheStats::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CacheStats {
-            hits: Counter::restore(r)?,
-            misses: Counter::restore(r)?,
-            writebacks: Counter::restore(r)?,
-        })
-    }
 }
+
+snap_fields! { CacheStats { hits, misses, writebacks } }
 
 /// One cache line packed into two words, `[tag | VALID | DIRTY, lru]`,
 /// where `lru` is the recency stamp (larger = more recently used).
@@ -197,15 +184,15 @@ const TAG: u64 = !(VALID | DIRTY);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: CacheConfig,
     /// Every line, set-major: set `s` is `lines[s * ways..(s + 1) * ways]`.
     lines: Vec<Line>,
     stamp: u64,
     stats: CacheStats,
-    ways: usize,     // asan-lint: allow(snapshot-completeness)
-    line_shift: u32, // asan-lint: allow(snapshot-completeness)
-    tag_shift: u32,  // asan-lint: allow(snapshot-completeness)
-    set_mask: u64,   // asan-lint: allow(snapshot-completeness)
+    ways: usize,
+    line_shift: u32,
+    tag_shift: u32,
+    set_mask: u64,
 }
 
 impl Cache {
@@ -359,13 +346,15 @@ impl Cache {
             line[0] &= TAG;
         }
     }
+}
 
-    /// Writes the dynamic state — every line's tag/valid/dirty/recency,
-    /// the recency stamp, and the statistics. Geometry is configuration
-    /// and is rebuilt by the caller before [`Cache::restore`].
-    pub fn snapshot(&self, w: &mut SnapWriter) {
+/// The recency stamp, the statistics, then every line's tag, valid and
+/// dirty flags and recency. Geometry is configuration, rebuilt before
+/// `load`; a decoded tag that overlaps the packed flag bits is rejected.
+impl Snap for Cache {
+    fn save(&self, w: &mut SnapWriter) {
         w.u64(self.stamp);
-        self.stats.snapshot(w);
+        self.stats.save(w);
         for &[word, lru] in &self.lines {
             w.u64(word & TAG);
             w.bool(word & VALID != 0);
@@ -374,11 +363,9 @@ impl Cache {
         }
     }
 
-    /// Overwrites this cache's dynamic state from a snapshot taken of a
-    /// cache with the same geometry.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stamp = r.u64()?;
-        self.stats = CacheStats::restore(r)?;
+        self.stats.load(r)?;
         for line in &mut self.lines {
             let tag = r.u64()?;
             if tag & !TAG != 0 {
@@ -392,9 +379,13 @@ impl Cache {
     }
 }
 
+/// Whether a level exists is part of the hierarchy's configuration.
+impl SnapOpt for Cache {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 16 B lines = 128 B.
@@ -414,12 +405,12 @@ mod tests {
         }
         c.access(64, AccessKind::Write); // dirty a line
         let mut w = SnapWriter::new();
-        c.snapshot(&mut w);
+        c.save(&mut w);
         let bytes = w.into_bytes();
 
         let mut back = tiny();
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(back.stats().hits.get(), c.stats().hits.get());
@@ -442,7 +433,7 @@ mod tests {
     fn snapshot_bytes_are_stable() {
         let hash = |c: &Cache| {
             let mut w = SnapWriter::new();
-            c.snapshot(&mut w);
+            c.save(&mut w);
             w.into_bytes()
                 .iter()
                 .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
@@ -507,7 +498,7 @@ mod tests {
     fn restore_rejects_tags_overlapping_the_flags() {
         let c = tiny();
         let mut w = SnapWriter::new();
-        c.snapshot(&mut w);
+        c.save(&mut w);
         let mut bytes = w.into_bytes();
         // The first line's tag follows the envelope, the stamp and the
         // three statistics counters; set its top bit.
@@ -515,7 +506,7 @@ mod tests {
         bytes[first_tag_end - 1] |= 0x80;
         let mut back = tiny();
         let mut r = SnapReader::new(&bytes).unwrap();
-        assert!(matches!(back.restore(&mut r), Err(SnapError::Malformed(_))));
+        assert!(matches!(back.load(&mut r), Err(SnapError::Malformed(_))));
     }
 
     #[test]

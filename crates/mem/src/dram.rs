@@ -6,7 +6,7 @@
 //! open-page policy over interleaved banks plus a single data channel whose
 //! occupancy enforces the bandwidth limit.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::Counter;
 use asan_sim::{SimDuration, SimTime};
 
@@ -63,6 +63,8 @@ pub struct DramStats {
     pub bytes: Counter,
 }
 
+snap_fields! { DramStats { page_hits, page_misses, bytes } }
+
 /// An RDRAM channel with open-page banks.
 ///
 /// # Example
@@ -78,7 +80,7 @@ pub struct DramStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dram {
-    cfg: DramConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: DramConfig,
     open_row: Vec<Option<u64>>,
     channel_free: SimTime,
     stats: DramStats,
@@ -162,42 +164,16 @@ impl Dram {
         self.open_row.iter_mut().for_each(|r| *r = None);
         self.channel_free = SimTime::ZERO;
     }
-
-    /// Writes per-bank open rows, channel occupancy and statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.open_row.len());
-        for &row in &self.open_row {
-            w.opt_u64(row);
-        }
-        w.time(self.channel_free);
-        self.stats.page_hits.snapshot(w);
-        self.stats.page_misses.snapshot(w);
-        self.stats.bytes.snapshot(w);
-    }
-
-    /// Overwrites this channel's dynamic state from a snapshot taken of
-    /// a channel with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let banks = r.usize()?;
-        if banks != self.open_row.len() {
-            return Err(SnapError::Malformed("DRAM bank count mismatch"));
-        }
-        for row in &mut self.open_row {
-            *row = r.opt_u64()?;
-        }
-        self.channel_free = r.time()?;
-        self.stats = DramStats {
-            page_hits: Counter::restore(r)?,
-            page_misses: Counter::restore(r)?,
-            bytes: Counter::restore(r)?,
-        };
-        Ok(())
-    }
 }
+
+// Per-bank open rows (one per configured bank), channel occupancy and
+// statistics.
+snap_fields! { Dram { fixed open_row, channel_free, stats, static cfg } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn cold_access_is_page_miss_with_paper_latency() {
@@ -279,11 +255,11 @@ mod tests {
         d.access(0, 128, SimTime::ZERO);
         d.access(4096, 64, SimTime::from_ns(50));
         let mut w = SnapWriter::new();
-        d.snapshot(&mut w);
+        d.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = Dram::new(DramConfig::paper());
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
         // Identical future timing: open rows and channel occupancy match.
         let t = SimTime::from_ns(300);

@@ -15,7 +15,7 @@
 //! setting `l2` to `None` and `mshr_entries` to 1 ("supporting only one
 //! outstanding request", §4).
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::{SimDuration, SimTime};
 
 use crate::cache::{AccessKind, Cache, CacheConfig};
@@ -119,12 +119,16 @@ pub struct HierarchyStats {
     pub ifetches: u64,
 }
 
+snap_fields! { HierarchyStats { loads, stores, prefetches, ifetches } }
+
 /// One outstanding line fill.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Mshr {
     line: u64,
     fill_done: SimTime,
 }
+
+snap_fields! { Mshr { line, fill_done } }
 
 /// A complete cache/TLB/DRAM hierarchy serving one CPU.
 ///
@@ -144,7 +148,7 @@ struct Mshr {
 /// ```
 #[derive(Debug)]
 pub struct MemoryHierarchy {
-    cfg: HierarchyConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: HierarchyConfig,
     l1i: Cache,
     l1d: Cache,
     l2: Option<Cache>,
@@ -482,79 +486,6 @@ impl MemoryHierarchy {
         self.stats = HierarchyStats::default();
     }
 
-    /// Writes the dynamic state of every level — both L1s, the L2 and
-    /// TLBs when present, the DRAM channel, outstanding line fills, and
-    /// the aggregate access counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.l1i.snapshot(w);
-        self.l1d.snapshot(w);
-        w.bool(self.l2.is_some());
-        if let Some(l2) = &self.l2 {
-            l2.snapshot(w);
-        }
-        w.bool(self.itlb.is_some());
-        if let Some(t) = &self.itlb {
-            t.snapshot(w);
-        }
-        w.bool(self.dtlb.is_some());
-        if let Some(t) = &self.dtlb {
-            t.snapshot(w);
-        }
-        self.dram.snapshot(w);
-        w.usize(self.mshrs.len());
-        for m in &self.mshrs {
-            w.u64(m.line);
-            w.time(m.fill_done);
-        }
-        w.u64(self.stats.loads);
-        w.u64(self.stats.stores);
-        w.u64(self.stats.prefetches);
-        w.u64(self.stats.ifetches);
-    }
-
-    /// Overwrites this hierarchy's dynamic state from a snapshot taken
-    /// of a hierarchy built from the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.l1i.restore(r)?;
-        self.l1d.restore(r)?;
-        let has_l2 = r.bool()?;
-        if has_l2 != self.l2.is_some() {
-            return Err(SnapError::Malformed("L2 presence mismatch"));
-        }
-        if let Some(l2) = &mut self.l2 {
-            l2.restore(r)?;
-        }
-        let has_itlb = r.bool()?;
-        if has_itlb != self.itlb.is_some() {
-            return Err(SnapError::Malformed("I-TLB presence mismatch"));
-        }
-        if let Some(t) = &mut self.itlb {
-            t.restore(r)?;
-        }
-        let has_dtlb = r.bool()?;
-        if has_dtlb != self.dtlb.is_some() {
-            return Err(SnapError::Malformed("D-TLB presence mismatch"));
-        }
-        if let Some(t) = &mut self.dtlb {
-            t.restore(r)?;
-        }
-        self.dram.restore(r)?;
-        let n = r.usize()?;
-        self.mshrs.clear();
-        for _ in 0..n {
-            let line = r.u64()?;
-            let fill_done = r.time()?;
-            self.mshrs.push(Mshr { line, fill_done });
-        }
-        self.stats = HierarchyStats {
-            loads: r.u64()?,
-            stores: r.u64()?,
-            prefetches: r.u64()?,
-            ifetches: r.u64()?,
-        };
-        Ok(())
-    }
-
     /// Flushes all caches, TLBs and DRAM row state.
     pub fn flush(&mut self) {
         self.l1i.flush();
@@ -573,6 +504,10 @@ impl MemoryHierarchy {
     }
 }
 
+// Every level — both L1s, the L2 and TLBs when configured, the DRAM
+// channel — then outstanding line fills and the aggregate counters.
+snap_fields! { MemoryHierarchy { l1i, l1d, l2, itlb, dtlb, dram, mshrs, stats, static cfg } }
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DataKind {
     Load,
@@ -583,6 +518,7 @@ enum DataKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     fn host() -> MemoryHierarchy {
         MemoryHierarchy::new(HierarchyConfig::host())
@@ -827,11 +763,11 @@ mod tests {
         drive(&mut m, 0x4000_0000, SimTime::ZERO);
 
         let mut w = SnapWriter::new();
-        m.snapshot(&mut w);
+        m.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = MemoryHierarchy::new(HierarchyConfig::host());
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        Snap::load(&mut back, &mut r).unwrap();
         r.finish().unwrap();
 
         // Continue both with the same access stream: every outcome
@@ -852,18 +788,18 @@ mod tests {
         m.load(0x2000, SimTime::ZERO);
         m.store(0x4000, SimTime::from_ns(500));
         let mut w = SnapWriter::new();
-        m.snapshot(&mut w);
+        m.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = MemoryHierarchy::new(HierarchyConfig::switch_cpu());
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        Snap::load(&mut back, &mut r).unwrap();
         r.finish().unwrap();
         let t = SimTime::from_us(2);
         assert_eq!(m.load(0x2000, t), back.load(0x2000, t));
         // Restoring into a mismatched geometry fails loudly.
         let mut wrong = MemoryHierarchy::new(HierarchyConfig::host());
         let mut r2 = SnapReader::new(&bytes).unwrap();
-        assert!(wrong.restore(&mut r2).is_err());
+        assert!(Snap::load(&mut wrong, &mut r2).is_err());
     }
 
     /// FNV-1a over a byte stream, to pin snapshot encodings compactly.
@@ -941,10 +877,10 @@ mod tests {
                 t = t + o.stall + SimDuration::from_ns(1 + x % 7);
             }
             let got = [
-                snap_hash(|w| m.l1i().snapshot(w)),
-                snap_hash(|w| m.l1d().snapshot(w)),
-                m.l2().map_or(0, |l2| snap_hash(|w| l2.snapshot(w))),
-                snap_hash(|w| m.snapshot(w)),
+                snap_hash(|w| m.l1i().save(w)),
+                snap_hash(|w| m.l1d().save(w)),
+                m.l2().map_or(0, |l2| snap_hash(|w| l2.save(w))),
+                snap_hash(|w| m.save(w)),
             ];
             assert_eq!(got, pinned, "{name}: [l1i, l1d, l2, hierarchy]");
         }

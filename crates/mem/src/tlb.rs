@@ -6,7 +6,8 @@
 //! LRU replacement; on a miss, the memory hierarchy charges a page-table
 //! walk (two dependent memory reads through the cache hierarchy).
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{SnapError, SnapOpt};
+use asan_sim::snap_fields;
 use asan_sim::stats::Counter;
 
 /// Configuration for a [`Tlb`].
@@ -37,6 +38,8 @@ pub struct TlbStats {
     pub misses: Counter,
 }
 
+snap_fields! { TlbStats { hits, misses } }
+
 /// A fully-associative, LRU, tagged TLB.
 ///
 /// # Example
@@ -55,7 +58,7 @@ pub struct Tlb {
     entries: Vec<(u64, u64)>,
     stamp: u64,
     stats: TlbStats,
-    page_shift: u32, // asan-lint: allow(snapshot-completeness)
+    page_shift: u32,
 }
 
 impl Tlb {
@@ -130,45 +133,32 @@ impl Tlb {
     pub fn flush(&mut self) {
         self.entries.clear();
     }
+}
 
-    /// Writes the resident translations (in insertion order), the
-    /// recency stamp and the statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.stamp);
-        self.stats.hits.snapshot(w);
-        self.stats.misses.snapshot(w);
-        w.usize(self.entries.len());
-        for &(page, lru) in &self.entries {
-            w.u64(page);
-            w.u64(lru);
-        }
-    }
+// The resident translations (in insertion order), the recency stamp
+// and the statistics.
+snap_fields! {
+    Tlb {
+        stamp, stats, entries, static cfg, static page_shift,
+    } after Tlb::check_capacity
+}
 
-    /// Overwrites this TLB's dynamic state from a snapshot taken of a
-    /// TLB with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stamp = r.u64()?;
-        self.stats = TlbStats {
-            hits: Counter::restore(r)?,
-            misses: Counter::restore(r)?,
-        };
-        let n = r.usize()?;
-        if n > self.cfg.entries {
+impl Tlb {
+    fn check_capacity(&self) -> Result<(), SnapError> {
+        if self.entries.len() > self.cfg.entries {
             return Err(SnapError::Malformed("TLB snapshot exceeds capacity"));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let page = r.u64()?;
-            let lru = r.u64()?;
-            self.entries.push((page, lru));
         }
         Ok(())
     }
 }
 
+/// Whether a TLB exists is part of the hierarchy's configuration.
+impl SnapOpt for Tlb {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     fn tiny() -> Tlb {
         Tlb::new(TlbConfig {
@@ -213,11 +203,11 @@ mod tests {
         t.access(0x1000);
         t.access(0x0000); // page 0 most recent
         let mut w = SnapWriter::new();
-        t.snapshot(&mut w);
+        t.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = tiny();
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.stats().hits.get(), t.stats().hits.get());
         assert_eq!(back.stats().misses.get(), t.stats().misses.get());

@@ -10,7 +10,7 @@
 //! fixed overhead of message communication.
 
 use asan_cpu::Cpu;
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::{SimDuration, SimTime};
 
 /// Cost parameters of one HCA.
@@ -53,7 +53,7 @@ impl HcaConfig {
 /// the fabric's link occupancy, not here.
 #[derive(Debug, Clone)]
 pub struct Hca {
-    cfg: HcaConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: HcaConfig,
     sends: u64,
     recvs: u64,
 }
@@ -103,21 +103,9 @@ impl Hca {
     pub fn consume_completion(&self, cpu: &mut Cpu) {
         cpu.compute(self.cfg.recv_instr);
     }
-
-    /// Writes the message counters (the HCA is otherwise stateless
-    /// between messages).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.sends);
-        w.u64(self.recvs);
-    }
-
-    /// Overwrites the message counters from a snapshot.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.sends = r.u64()?;
-        self.recvs = r.u64()?;
-        Ok(())
-    }
 }
+
+snap_fields! { Hca { sends, recvs, static cfg } }
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,8 @@
 use std::collections::VecDeque;
 
 use asan_sim::hist::LogHistogram;
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::SnapError;
+use asan_sim::snap_fields;
 use asan_sim::stats::Counter;
 use asan_sim::{SimDuration, SimTime};
 
@@ -64,6 +65,8 @@ pub struct LinkTiming {
 #[derive(Debug, Clone)]
 pub struct Link {
     cfg: LinkConfig,
+    /// Current credit limit: `cfg.credits` until restricted.
+    credits: usize,
     busy_until: SimTime,
     /// Drain times of packets currently occupying receiver buffers.
     inflight: VecDeque<SimTime>,
@@ -97,6 +100,7 @@ impl Link {
         assert!(cfg.bytes_per_sec > 0, "zero link bandwidth");
         assert!(cfg.credits > 0, "links need at least one credit");
         Link {
+            credits: cfg.credits,
             cfg,
             busy_until: SimTime::ZERO,
             inflight: VecDeque::new(),
@@ -129,12 +133,24 @@ impl Link {
     /// Panics if `credits` is zero.
     pub fn restrict_credits(&mut self, credits: usize) {
         assert!(credits > 0, "links need at least one credit");
-        self.cfg.credits = self.cfg.credits.min(credits);
+        self.credits = self.credits.min(credits);
     }
 
-    /// The link configuration.
+    /// The link configuration, as built (before any restriction).
     pub fn config(&self) -> &LinkConfig {
         &self.cfg
+    }
+
+    /// The current credit limit (the configured one unless restricted).
+    pub fn credits(&self) -> usize {
+        self.credits
+    }
+
+    fn check_credits(&self) -> Result<(), SnapError> {
+        if self.credits == 0 || self.credits > self.cfg.credits {
+            return Err(SnapError::Malformed("link credit limit out of range"));
+        }
+        Ok(())
     }
 
     /// Sends `wire_bytes` (header + payload) that are ready at `ready`.
@@ -148,7 +164,7 @@ impl Link {
     pub fn send(&mut self, wire_bytes: u64, ready: SimTime) -> LinkTiming {
         let mut start = ready.max(self.busy_until);
         // Credit check: all buffers full ⇒ wait for the oldest drain.
-        if self.inflight.len() >= self.cfg.credits {
+        if self.inflight.len() >= self.credits {
             let oldest = *self.inflight.front().expect("non-empty");
             if oldest > start {
                 self.credit_stalls.inc();
@@ -221,61 +237,6 @@ impl Link {
         self.busy_time
     }
 
-    /// Writes the link's dynamic state: the (possibly restricted)
-    /// credit limit, wire occupancy, in-flight drain times, outage
-    /// windows and all counters/histograms.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.cfg.credits);
-        w.time(self.busy_until);
-        w.usize(self.inflight.len());
-        for &t in &self.inflight {
-            w.time(t);
-        }
-        self.bytes.snapshot(w);
-        self.packets.snapshot(w);
-        self.credit_stalls.snapshot(w);
-        self.stall_hist.snapshot(w);
-        w.dur(self.busy_time);
-        w.usize(self.outages.len());
-        for &(from, until) in &self.outages {
-            w.time(from);
-            w.time(until);
-        }
-        self.outage_deferrals.snapshot(w);
-    }
-
-    /// Overwrites this link's dynamic state from a snapshot taken of a
-    /// link with the same static configuration. The snapshotted credit
-    /// limit must not exceed this link's (it may be lower, since
-    /// [`restrict_credits`](Link::restrict_credits) only tightens).
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let credits = r.usize()?;
-        if credits == 0 || credits > self.cfg.credits {
-            return Err(SnapError::Malformed("link credit limit out of range"));
-        }
-        self.cfg.credits = credits;
-        self.busy_until = r.time()?;
-        let n = r.usize()?;
-        self.inflight.clear();
-        for _ in 0..n {
-            self.inflight.push_back(r.time()?);
-        }
-        self.bytes = Counter::restore(r)?;
-        self.packets = Counter::restore(r)?;
-        self.credit_stalls = Counter::restore(r)?;
-        self.stall_hist = LogHistogram::restore(r)?;
-        self.busy_time = r.dur()?;
-        let outages = r.usize()?;
-        self.outages.clear();
-        for _ in 0..outages {
-            let from = r.time()?;
-            let until = r.time()?;
-            self.outages.push((from, until));
-        }
-        self.outage_deferrals = Counter::restore(r)?;
-        Ok(())
-    }
-
     /// Utilization of the wire over `[0, now]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
         let t = now.as_ps();
@@ -287,9 +248,19 @@ impl Link {
     }
 }
 
+// The (possibly restricted) credit limit, wire occupancy, in-flight
+// drain times, outage windows and all counters/histograms.
+snap_fields! {
+    Link {
+        credits, busy_until, inflight, bytes, packets, credit_stalls, stall_hist, busy_time,
+        outages, outage_deferrals, static cfg,
+    } after Link::check_credits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     fn fast_drain(l: &mut Link, wire: u64, ready: SimTime) -> LinkTiming {
         let t = l.send(wire, ready);
@@ -400,11 +371,11 @@ mod tests {
         l.note_drain(SimTime::from_us(20));
 
         let mut w = SnapWriter::new();
-        l.snapshot(&mut w);
+        l.save(&mut w);
         let bytes = w.into_bytes();
         let mut back = Link::new(cfg); // fresh link: 3 credits, no outage
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
 
         // Identical future behaviour: credit stall to the first drain,
@@ -429,8 +400,8 @@ mod tests {
     fn restrict_credits_only_tightens() {
         let mut l = Link::new(LinkConfig::paper());
         l.restrict_credits(2);
-        assert_eq!(l.config().credits, 2);
+        assert_eq!(l.credits(), 2);
         l.restrict_credits(5); // cannot loosen back up
-        assert_eq!(l.config().credits, 2);
+        assert_eq!(l.credits(), 2);
     }
 }

@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use asan_sim::snap::{Snap, SnapError, SnapOpt, SnapReader, SnapWriter};
+
 use crate::bytes::Bytes;
 
 /// Network-wide maximum transfer unit (bytes of payload per packet).
@@ -18,7 +20,7 @@ pub const HEADER_BYTES: usize = 16;
 /// Identifies an endpoint or switch in the cluster.
 ///
 /// Node IDs are dense small integers assigned by the topology builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 impl fmt::Display for NodeId {
@@ -28,7 +30,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A 6-bit active-message handler identifier (0–63).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HandlerId(u8);
 
 impl HandlerId {
@@ -75,7 +77,7 @@ impl fmt::Display for HandlerId {
 /// [8..12)  active address field (32 bits)
 /// [12..16) sequence number within a flow
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Header {
     /// Source endpoint.
     pub src: NodeId,
@@ -400,6 +402,71 @@ pub fn reassemble(packets: &[Packet]) -> Result<Vec<u8>, ReassembleError> {
         data.extend_from_slice(&p.payload);
     }
     Ok(data)
+}
+
+asan_sim::snap_fields!(NodeId(id));
+
+/// The raw value, range-checked so a malformed snapshot errors instead
+/// of panicking in [`HandlerId::new`].
+impl Snap for HandlerId {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u8(self.0);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let v = r.u8()?;
+        if v >= 64 {
+            return Err(SnapError::Malformed("handler id out of range"));
+        }
+        self.0 = v;
+        Ok(())
+    }
+}
+
+impl SnapOpt for HandlerId {
+    fn blank() -> Option<Self> {
+        Some(HandlerId(0))
+    }
+}
+
+impl Snap for Bytes {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bytes(self);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Bytes::from(r.bytes()?);
+        Ok(())
+    }
+}
+
+/// An empty packet with a correct ICRC (a value to decode into).
+impl Default for Packet {
+    fn default() -> Self {
+        Packet::new(Header::default(), Bytes::default())
+    }
+}
+
+/// The encoded header, the payload bytes, and the ICRC *as stamped*, so
+/// simulated corruption survives a snapshot/restore round trip.
+impl Snap for Packet {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bytes(&self.header.encode());
+        w.bytes(&self.payload);
+        w.u32(self.icrc);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let hb: [u8; HEADER_BYTES] = r
+            .bytes()?
+            .as_slice()
+            .try_into()
+            .map_err(|_| SnapError::Malformed("packet header size"))?;
+        let header = Header::decode(&hb).map_err(|_| SnapError::Malformed("packet header"))?;
+        let payload = r.bytes()?;
+        if payload.len() != header.len as usize {
+            return Err(SnapError::Malformed("packet payload length"));
+        }
+        *self = Packet::from_parts(header, payload, r.u32()?);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

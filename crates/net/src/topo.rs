@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap_fields;
 use asan_sim::stats::Traffic;
 use asan_sim::{SimDuration, SimTime};
 
@@ -743,22 +743,22 @@ impl Delivery {
 ///
 /// The first four fields are static configuration: they are fixed by
 /// the [`TopologyBuilder`]/[`TopoSpec`] that produced this fabric and
-/// never change during a run, so `snapshot`/`restore` intentionally
-/// skip them — a restoring process rebuilds the identical topology from
-/// the same spec before calling [`Fabric::restore`] (which verifies the
-/// link and node counts match). Only the link occupancy and traffic
+/// never change during a run, so its [`Snap`](asan_sim::snap::Snap)
+/// declaration marks them `static` — a restoring process rebuilds the
+/// identical topology from the same spec before loading (which verifies
+/// the link and node counts match). Only the link occupancy and traffic
 /// counters below are dynamic state.
 #[derive(Debug)]
 pub struct Fabric {
-    kinds: Vec<NodeKind>,                  // asan-lint: allow(snapshot-completeness)
-    switch_specs: Vec<Option<SwitchSpec>>, // asan-lint: allow(snapshot-completeness)
+    kinds: Vec<NodeKind>,
+    switch_specs: Vec<Option<SwitchSpec>>,
     links: Vec<Link>,
     /// `next_hop[dst * n + from] = (neighbor node, link index)`, dense,
     /// destination-major (one BFS row per destination), [`NO_ROUTE`] on
     /// the diagonal.
-    next_hop: Vec<(u32, u32)>, // asan-lint: allow(snapshot-completeness)
+    next_hop: Vec<(u32, u32)>,
     /// Credit-drain model (see [`TopologyBuilder::set_hop_backpressure`]).
-    hop_backpressure: bool, // asan-lint: allow(snapshot-completeness)
+    hop_backpressure: bool,
     traffic: Vec<Traffic>,
 }
 
@@ -1012,42 +1012,15 @@ impl Fabric {
     pub fn total_outage_deferrals(&self) -> u64 {
         self.links.iter().map(Link::outage_deferrals).sum()
     }
+}
 
-    /// Writes the fabric's dynamic state: every link direction (wire
-    /// occupancy, credits, in-flight drains, counters) and per-node
-    /// traffic accounting. The topology itself (kinds, routes, drain
-    /// model) is static and rebuilt by the caller.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("fabric");
-        w.usize(self.links.len());
-        for l in &self.links {
-            l.snapshot(w);
-        }
-        w.usize(self.traffic.len());
-        for t in &self.traffic {
-            t.snapshot(w);
-        }
-    }
-
-    /// Overwrites this fabric's dynamic state from a snapshot taken of
-    /// a fabric built from the same topology.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("fabric")?;
-        let links = r.usize()?;
-        if links != self.links.len() {
-            return Err(SnapError::Malformed("fabric link count mismatch"));
-        }
-        for l in &mut self.links {
-            l.restore(r)?;
-        }
-        let nodes = r.usize()?;
-        if nodes != self.traffic.len() {
-            return Err(SnapError::Malformed("fabric node count mismatch"));
-        }
-        for t in &mut self.traffic {
-            *t = Traffic::restore(r)?;
-        }
-        Ok(())
+// Every link direction (wire occupancy, credits, in-flight drains,
+// counters) and per-node traffic accounting. The topology itself
+// (kinds, routes, drain model) is static and rebuilt by the caller.
+snap_fields! {
+    Fabric {
+        "fabric", fixed links, fixed traffic, static kinds, static switch_specs, static next_hop,
+        static hop_backpressure,
     }
 }
 
@@ -1065,6 +1038,7 @@ pub fn single_switch_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn single_switch_paths() {
@@ -1291,11 +1265,11 @@ mod tests {
         f.transmit(528, tcas[0], hosts[1], SimTime::ZERO);
 
         let mut w = SnapWriter::new();
-        f.snapshot(&mut w);
+        f.save(&mut w);
         let bytes = w.into_bytes();
         let (mut back, ..) = single_switch_cluster(2, 1);
         let mut r = SnapReader::new(&bytes).unwrap();
-        back.restore(&mut r).unwrap();
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
 
         // Same occupancy: the next packet sees identical queueing.
@@ -1307,7 +1281,7 @@ mod tests {
         // Mismatched topology fails loudly.
         let (mut wrong, ..) = single_switch_cluster(3, 1);
         let mut r2 = SnapReader::new(&bytes).unwrap();
-        assert!(wrong.restore(&mut r2).is_err());
+        assert!(wrong.load(&mut r2).is_err());
     }
 
     #[test]

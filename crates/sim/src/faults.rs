@@ -14,7 +14,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::rng::SimRng;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::SnapOpt;
+use crate::snap_fields;
 use crate::time::{SimDuration, SimTime};
 
 /// Traps one handler after a given number of invocations, modeling a
@@ -167,24 +168,6 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Writes all four counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.injected);
-        w.u64(self.detected);
-        w.u64(self.recovered);
-        w.u64(self.degraded);
-    }
-
-    /// Reads counters written by [`FaultCounters::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultCounters {
-            injected: r.u64()?,
-            detected: r.u64()?,
-            recovered: r.u64()?,
-            degraded: r.u64()?,
-        })
-    }
-
     fn fold(&self, h: u64) -> u64 {
         fnv1a_fold(
             fnv1a_fold(
@@ -236,36 +219,15 @@ impl FaultStats {
         h = fnv1a_fold(h, self.timeouts);
         fnv1a_fold(h, self.fallback_packets)
     }
+}
 
-    /// Writes every counter, in the same fixed order as
-    /// [`FaultStats::digest`].
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.packet_corrupt.snapshot(w);
-        self.packet_drop.snapshot(w);
-        self.disk_error.snapshot(w);
-        self.disk_latency.snapshot(w);
-        self.link_outage.snapshot(w);
-        self.handler_trap.snapshot(w);
-        self.buffer_seize.snapshot(w);
-        w.u64(self.retransmits);
-        w.u64(self.timeouts);
-        w.u64(self.fallback_packets);
-    }
+snap_fields! { FaultCounters { injected, detected, recovered, degraded } }
 
-    /// Reads stats written by [`FaultStats::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultStats {
-            packet_corrupt: FaultCounters::restore(r)?,
-            packet_drop: FaultCounters::restore(r)?,
-            disk_error: FaultCounters::restore(r)?,
-            disk_latency: FaultCounters::restore(r)?,
-            link_outage: FaultCounters::restore(r)?,
-            handler_trap: FaultCounters::restore(r)?,
-            buffer_seize: FaultCounters::restore(r)?,
-            retransmits: r.u64()?,
-            timeouts: r.u64()?,
-            fallback_packets: r.u64()?,
-        })
+// Same fixed field order as `FaultStats::digest`.
+snap_fields! {
+    FaultStats {
+        packet_corrupt, packet_drop, disk_error, disk_latency, link_outage, handler_trap,
+        buffer_seize, retransmits, timeouts, fallback_packets,
     }
 }
 
@@ -316,9 +278,9 @@ pub fn fnv1a_fold(mut h: u64, v: u64) -> u64 {
 /// the others' streams.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    /// The armed plan. Static for the life of a run — restore rebuilds
+    /// The armed plan. Static for the life of a run — a restore rebuilds
     /// the injector from the same plan, so it is not serialized.
-    plan: FaultPlan, // asan-lint: allow(snapshot-completeness)
+    plan: FaultPlan,
     packet_rng: SimRng,
     disk_rng: SimRng,
     /// Per-`(node, handler)` invocation counts for trap matching.
@@ -389,47 +351,20 @@ impl FaultInjector {
         }
         fired
     }
-
-    /// Writes the injector's dynamic state: both RNG cursors, the
-    /// per-handler invocation counts, and the accumulated statistics.
-    /// The plan itself is static configuration, re-armed by whoever
-    /// rebuilds the simulation before calling
-    /// [`FaultInjector::restore`].
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.packet_rng.snapshot(w);
-        self.disk_rng.snapshot(w);
-        w.usize(self.trap_counts.len());
-        for (&(node, handler), &count) in &self.trap_counts {
-            w.u16(node);
-            w.u8(handler);
-            w.u64(count);
-        }
-        self.stats.snapshot(w);
-    }
-
-    /// Overwrites this injector's dynamic state from a snapshot; the
-    /// already-armed plan is kept. Every subsequent fate decision then
-    /// continues the snapshotted RNG streams exactly.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.packet_rng = SimRng::restore(r)?;
-        self.disk_rng = SimRng::restore(r)?;
-        let n = r.usize()?;
-        let mut trap_counts = BTreeMap::new();
-        for _ in 0..n {
-            let node = r.u16()?;
-            let handler = r.u8()?;
-            let count = r.u64()?;
-            trap_counts.insert((node, handler), count);
-        }
-        self.trap_counts = trap_counts;
-        self.stats = FaultStats::restore(r)?;
-        Ok(())
-    }
 }
+
+// The plan is static configuration, re-armed by whoever rebuilds the
+// simulation before loading; restoring both RNG cursors makes every later
+// fate decision continue the snapshotted streams exactly.
+snap_fields! { FaultInjector { packet_rng, disk_rng, trap_counts, stats, static plan } }
+
+/// Whether a run has an injector is part of its configuration.
+impl SnapOpt for FaultInjector {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn default_plan_injects_nothing() {
@@ -499,13 +434,13 @@ mod tests {
             orig.should_trap(1, 2);
         }
         let mut w = SnapWriter::new();
-        orig.snapshot(&mut w);
+        orig.save(&mut w);
         let bytes = w.into_bytes();
 
         // Fresh injector from the same plan, as a rebuilt run would.
         let mut restored = FaultInjector::new(plan);
         let mut r = SnapReader::new(&bytes).unwrap();
-        restored.restore(&mut r).unwrap();
+        restored.load(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(restored.stats, orig.stats);

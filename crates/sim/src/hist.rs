@@ -28,7 +28,7 @@
 //! ```
 
 use crate::faults::fnv1a_fold;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimDuration;
 
 /// Linear sub-buckets per power of two (2^5 = 32).
@@ -197,10 +197,28 @@ impl LogHistogram {
         self.max
     }
 
-    /// Writes the histogram sparsely: the aggregate fields plus only
-    /// the non-zero buckets. An empty histogram restores to the
-    /// unallocated state, so snapshotting idle probe slots stays free.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
+    /// Folds every non-zero counter into an FNV-1a digest, so a
+    /// histogram can sit under the same determinism net as
+    /// `ClusterStats`.
+    pub fn fold_digest(&self, mut h: u64) -> u64 {
+        h = fnv1a_fold(h, self.count);
+        h = fnv1a_fold(h, self.sum);
+        h = fnv1a_fold(h, self.min());
+        h = fnv1a_fold(h, self.max);
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c != 0 {
+                h = fnv1a_fold(fnv1a_fold(h, i as u64), c);
+            }
+        }
+        h
+    }
+}
+
+/// Sparse: the aggregate fields plus only the non-zero buckets. An empty
+/// histogram restores to the unallocated state, so snapshotting idle
+/// probe slots stays free.
+impl Snap for LogHistogram {
+    fn save(&self, w: &mut SnapWriter) {
         w.u64(self.count);
         w.u64(self.sum);
         w.u64(self.min);
@@ -215,8 +233,7 @@ impl LogHistogram {
         }
     }
 
-    /// Reads a histogram written by [`LogHistogram::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let count = r.u64()?;
         let sum = r.u64()?;
         let min = r.u64()?;
@@ -233,29 +250,14 @@ impl LogHistogram {
                 .get_mut(i)
                 .ok_or(SnapError::Malformed("histogram bucket out of range"))? = c;
         }
-        Ok(LogHistogram {
+        *self = LogHistogram {
             counts,
             count,
             sum,
             min,
             max,
-        })
-    }
-
-    /// Folds every non-zero counter into an FNV-1a digest, so a
-    /// histogram can sit under the same determinism net as
-    /// `ClusterStats`.
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
-        h = fnv1a_fold(h, self.count);
-        h = fnv1a_fold(h, self.sum);
-        h = fnv1a_fold(h, self.min());
-        h = fnv1a_fold(h, self.max);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                h = fnv1a_fold(fnv1a_fold(h, i as u64), c);
-            }
-        }
-        h
+        };
+        Ok(())
     }
 }
 
@@ -400,10 +402,10 @@ mod tests {
             h.record(v);
         }
         let mut w = SnapWriter::new();
-        h.snapshot(&mut w);
+        h.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let mut back = LogHistogram::restore(&mut r).unwrap();
+        let mut back = crate::snap::read::<LogHistogram>(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.count(), h.count());
         assert_eq!(back.sum(), h.sum());
@@ -421,10 +423,10 @@ mod tests {
     fn empty_snapshot_restores_unallocated() {
         let h = LogHistogram::new();
         let mut w = SnapWriter::new();
-        h.snapshot(&mut w);
+        h.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let back = LogHistogram::restore(&mut r).unwrap();
+        let back = crate::snap::read::<LogHistogram>(&mut r).unwrap();
         r.finish().unwrap();
         assert!(back.is_empty());
         assert_eq!(back.fold_digest(1), h.fold_digest(1));

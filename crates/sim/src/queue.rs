@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{read, Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 
 /// Width of one ring bucket in picoseconds (65 536 ps ≈ 65.5 ns — a few
@@ -67,16 +67,16 @@ pub struct EventQueue<E> {
     /// absolute index is in `[cursor, cursor + RING_BUCKETS)`.
     /// Rebuilt on restore by re-placing entries, so its exact value is
     /// not part of the snapshot (pop order is cursor-independent).
-    cursor: u64, // asan-lint: allow(snapshot-completeness)
+    cursor: u64,
     /// Events currently in the ring.
-    ring_len: usize, // asan-lint: allow(snapshot-completeness)
+    ring_len: usize,
     /// Far-future events, sorted by `(time, seq)`.
     overflow: BTreeMap<(SimTime, u64), E>,
     /// Occupancy bitmap over ring slots: bit `s` of word `s / 64` is
     /// set iff `ring[s]` is non-empty. Makes find-next-non-empty a few
     /// `trailing_zeros` instead of a bucket walk. Derived state,
     /// rebuilt on restore.
-    occupied: [u64; (RING_BUCKETS / 64) as usize], // asan-lint: allow(snapshot-completeness)
+    occupied: [u64; (RING_BUCKETS / 64) as usize],
     next_seq: u64,
 }
 
@@ -252,14 +252,28 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Writes every pending entry in exact `(time, seq)` order using
-    /// `enc` to encode each event, followed by the sequence cursor.
-    ///
-    /// The ring geometry (cursor position, bucket occupancy) is *not*
-    /// serialized: pop order depends only on `(time, seq)` keys, so
-    /// [`EventQueue::restore_with`] rebuilds an equivalent queue by
-    /// re-placing the entries with their original sequence numbers.
-    pub fn snapshot_with(&self, w: &mut SnapWriter, mut enc: impl FnMut(&mut SnapWriter, &E)) {
+    /// Removes all pending events.
+    pub fn clear(&mut self) {
+        for b in &mut self.ring {
+            b.clear();
+        }
+        self.ring_len = 0;
+        self.occupied = [0; (RING_BUCKETS / 64) as usize];
+        self.overflow.clear();
+    }
+}
+
+/// Every pending entry in exact `(time, seq)` order, then the sequence
+/// cursor.
+///
+/// The ring geometry (cursor position, bucket occupancy) is *not*
+/// serialized: pop order depends only on `(time, seq)` keys, so loading
+/// rebuilds an equivalent queue by re-placing the entries with their
+/// original sequence numbers. The loaded queue pops the exact same
+/// `(time, event)` sequence the saved one would have, and new pushes
+/// continue the original sequence-number stream.
+impl<E: Snap + Default> Snap for EventQueue<E> {
+    fn save(&self, w: &mut SnapWriter) {
         w.usize(self.len());
         let mut ring_entries: Vec<&Entry<E>> = self.ring.iter().flatten().collect();
         ring_entries.sort_by_key(|e| (e.time, e.seq));
@@ -281,21 +295,13 @@ impl<E> EventQueue<E> {
             };
             w.time(time);
             w.u64(seq);
-            enc(w, event);
+            event.save(w);
         }
         w.u64(self.next_seq);
     }
 
-    /// Rebuilds a queue from a snapshot written by
-    /// [`EventQueue::snapshot_with`], decoding each event with `dec`.
-    /// The restored queue pops the exact same `(time, event)` sequence
-    /// the snapshotted queue would have, and new pushes continue the
-    /// original sequence-number stream.
-    pub fn restore_with(
-        r: &mut SnapReader<'_>,
-        mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapError>,
-    ) -> Result<Self, SnapError> {
-        let n = r.usize()?;
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len_prefix()?;
         let mut q = EventQueue::new();
         let mut last: Option<(SimTime, u64)> = None;
         for _ in 0..n {
@@ -305,7 +311,7 @@ impl<E> EventQueue<E> {
                 return Err(SnapError::Malformed("queue entries out of order"));
             }
             last = Some((time, seq));
-            let event = dec(r)?;
+            let event = read(r)?;
             // Ascending (time, seq): every place is an append, and the
             // first entry re-anchors the cursor.
             q.place(Entry { time, seq, event });
@@ -316,17 +322,8 @@ impl<E> EventQueue<E> {
                 return Err(SnapError::Malformed("queue seq cursor behind live entry"));
             }
         }
-        Ok(q)
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        for b in &mut self.ring {
-            b.clear();
-        }
-        self.ring_len = 0;
-        self.occupied = [0; (RING_BUCKETS / 64) as usize];
-        self.overflow.clear();
+        *self = q;
+        Ok(())
     }
 }
 
@@ -535,13 +532,10 @@ mod tests {
             }
         }
         let mut w = SnapWriter::new();
-        q.snapshot_with(&mut w, |w, e| w.u32(*e));
+        q.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        // A closure (not `SnapReader::u32`) because the decoder must be
-        // higher-ranked over the reader's lifetime.
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        let mut q2: EventQueue<u32> = EventQueue::restore_with(&mut r, |r| r.u32()).unwrap();
+        let mut q2: EventQueue<u32> = read(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(q.len(), q2.len());
@@ -575,8 +569,7 @@ mod tests {
         w.u64(2);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        let got: Result<EventQueue<u32>, _> = EventQueue::restore_with(&mut r, |r| r.u32());
+        let got: Result<EventQueue<u32>, _> = read(&mut r);
         assert!(matches!(got, Err(SnapError::Malformed(_))));
     }
 

@@ -28,7 +28,8 @@
 //! ```
 
 use crate::queue::EventQueue;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::Snap;
+use crate::snap_fields;
 use crate::time::SimTime;
 
 /// Types that can name themselves for diagnostics and traces.
@@ -104,28 +105,12 @@ impl<E: Traceable> Scheduler<E> {
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
-
-    /// Writes the pending-event set (via `enc`) and the run
-    /// bookkeeping, so a restored scheduler continues both the event
-    /// stream and the processed/peak counters exactly.
-    pub fn snapshot_with(&self, w: &mut SnapWriter, enc: impl FnMut(&mut SnapWriter, &E)) {
-        self.queue.snapshot_with(w, enc);
-        w.u64(self.processed);
-        w.usize(self.peak_len);
-    }
-
-    /// Rebuilds a scheduler from [`Scheduler::snapshot_with`] output.
-    pub fn restore_with(
-        r: &mut SnapReader<'_>,
-        dec: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapError>,
-    ) -> Result<Self, SnapError> {
-        Ok(Scheduler {
-            queue: EventQueue::restore_with(r, dec)?,
-            processed: r.u64()?,
-            peak_len: r.usize()?,
-        })
-    }
 }
+
+// The pending-event set plus the run bookkeeping, so a restored
+// scheduler continues both the event stream and the processed/peak
+// counters exactly.
+snap_fields! { [E: Snap + Default] Scheduler<E> { queue, processed, peak_len } }
 
 impl<E: Traceable> Default for Scheduler<E> {
     fn default() -> Self {
@@ -136,14 +121,16 @@ impl<E: Traceable> Default for Scheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{Snap, SnapReader, SnapWriter};
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Default, PartialEq)]
     struct Ev(u32);
     impl Traceable for Ev {
         fn trace_label(&self) -> &'static str {
             "Ev"
         }
     }
+    snap_fields!(Ev(n));
 
     #[test]
     fn pops_in_order_and_counts() {
@@ -191,10 +178,11 @@ mod tests {
         s.push(SimTime::from_ns(3), Ev(3));
         s.pop();
         let mut w = SnapWriter::new();
-        s.snapshot_with(&mut w, |w, e| w.u32(e.0));
+        s.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let mut s2: Scheduler<Ev> = Scheduler::restore_with(&mut r, |r| Ok(Ev(r.u32()?))).unwrap();
+        let mut s2: Scheduler<Ev> = Scheduler::new();
+        s2.load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(s2.processed(), 1);
         assert_eq!(s2.peak_len(), 3);

@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 
 use crate::faults::fnv1a_fold;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// Track kind: per-link wire occupancy (sample = busy ps per window).
@@ -185,34 +185,27 @@ impl TimeSeries {
                 .collect(),
         }
     }
+}
 
-    /// Writes the collector's dynamic state (window width and every
-    /// track's dense samples).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
+/// Window width and every track's dense samples; decoding rejects a
+/// zero window and a track longer than the window cap.
+impl Snap for TimeSeries {
+    fn save(&self, w: &mut SnapWriter) {
         w.u64(self.window_ps);
         w.usize(self.tracks.len());
         for (&(kind, key), samples) in &self.tracks {
             w.u8(kind);
             w.u64(key);
-            w.usize(samples.len());
-            for &s in samples {
-                w.u64(s);
-            }
+            samples.save(w);
         }
     }
 
-    /// Overwrites the collector from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed (zero
-    /// window, oversized track).
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let window_ps = r.u64()?;
         if window_ps == 0 {
             return Err(SnapError::Malformed("zero time-series window"));
         }
-        let ntracks = r.usize()?;
+        let ntracks = r.len_prefix()?;
         let mut tracks = BTreeMap::new();
         for _ in 0..ntracks {
             let kind = r.u8()?;
@@ -227,7 +220,8 @@ impl TimeSeries {
             }
             tracks.insert((kind, key), samples);
         }
-        Ok(TimeSeries { window_ps, tracks })
+        *self = TimeSeries { window_ps, tracks };
+        Ok(())
     }
 }
 
@@ -435,10 +429,10 @@ mod tests {
         s.add_occupancy(KIND_LINK_UTIL, 4, SimTime::ZERO, SimTime::from_us(5));
         s.gauge_max(KIND_QUEUE_DEPTH, 0, SimTime::from_us(1), 17);
         let mut w = SnapWriter::new();
-        s.snapshot(&mut w);
+        s.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let back = TimeSeries::restore(&mut r).unwrap();
+        let back = crate::snap::read::<TimeSeries>(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.timeline(), s.timeline());
         assert_eq!(back.window(), s.window());

@@ -9,12 +9,22 @@
 //! sync fails loudly at the next section boundary instead of silently
 //! misinterpreting bytes.
 //!
-//! Every stateful type in the workspace exposes hand-written
-//! `snapshot(&self, &mut SnapWriter)` / `restore(...)` methods built
-//! on these primitives. Hand-written (rather than derived) codecs keep
-//! the field list visible in source, which is what lets `asan-lint`'s
-//! `snapshot-completeness` rule check that no state field is silently
-//! left out of its snapshot.
+//! Every stateful type implements [`Snap`]: `save` appends its dynamic
+//! state to a [`SnapWriter`] and `load` overwrites that state in place
+//! from a [`SnapReader`]. Configuration (geometry, topology, installed
+//! programs) is not encoded: a restoring process rebuilds the value
+//! from the same configuration and then loads the dynamic state on top.
+//!
+//! Structs and enums declare their codec with
+//! [`snap_fields!`](crate::snap_fields) and [`snap_enum!`](crate::snap_enum):
+//! one list names every field in wire order, and both directions are
+//! generated from it. The expansion destructures `Self` exhaustively, so
+//! a field missing from the list (dynamic, or marked `static` for
+//! rebuilt configuration) is a compile error, and the writer and reader
+//! cannot disagree on order because there is only one order.
+//! Hand-written impls remain for the leaves (integers, time, containers)
+//! and for the few codecs that validate what they decode or are not a
+//! field list. No lint rule has to police the convention.
 //!
 //! # Example
 //!
@@ -33,8 +43,50 @@
 //! assert_eq!(r.str().unwrap(), "hello");
 //! r.finish().unwrap();
 //! ```
+//!
+//! A declared struct: `grid` is rebuilt from configuration, `hits` and
+//! `last` are dynamic state.
+//!
+//! ```
+//! use asan_sim::snap::{Snap, SnapReader, SnapWriter};
+//! use asan_sim::{snap_fields, SimTime};
+//!
+//! #[derive(Default)]
+//! struct Probe {
+//!     grid: u32,
+//!     hits: u64,
+//!     last: Option<SimTime>,
+//! }
+//! snap_fields! { Probe { "probe", hits, last, static grid } }
+//!
+//! let p = Probe { grid: 8, hits: 3, last: Some(SimTime::from_ns(2)) };
+//! let mut w = SnapWriter::new();
+//! p.save(&mut w);
+//! let bytes = w.into_bytes();
+//!
+//! let mut q = Probe { grid: 8, ..Probe::default() };
+//! let mut r = SnapReader::new(&bytes).unwrap();
+//! q.load(&mut r).unwrap();
+//! r.finish().unwrap();
+//! assert_eq!((q.hits, q.last), (3, Some(SimTime::from_ns(2))));
+//! ```
+//!
+//! Leaving a field out of the declaration does not compile:
+//!
+//! ```compile_fail
+//! use asan_sim::snap_fields;
+//!
+//! struct Probe {
+//!     hits: u64,
+//!     misses: u64,
+//! }
+//! snap_fields! { Probe { hits } }
+//! ```
 
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -201,11 +253,6 @@ impl SnapWriter {
         self.u64(v.unwrap_or(0));
     }
 
-    /// Writes an optional [`SimTime`].
-    pub fn opt_time(&mut self, t: Option<SimTime>) {
-        self.opt_u64(t.map(SimTime::as_ps));
-    }
-
     /// Finishes the snapshot, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -247,6 +294,19 @@ impl<'a> SnapReader<'a> {
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
+    }
+
+    /// Reads a collection length and rejects one longer than the bytes
+    /// left (every element takes at least one byte), so a corrupt
+    /// length fails as [`SnapError::Truncated`] before anything is
+    /// allocated for it.
+    pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
+        let n = self.usize()?;
+        let left = self.buf.len() - self.pos;
+        if n > left {
+            return Err(SnapError::Truncated { needed: n - left });
+        }
+        Ok(n)
     }
 
     /// Verifies the next section tag is `name`.
@@ -332,7 +392,7 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
-        let n = self.usize()?;
+        let n = self.len_prefix()?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -349,11 +409,6 @@ impl<'a> SnapReader<'a> {
         Ok(present.then_some(v))
     }
 
-    /// Reads an optional [`SimTime`].
-    pub fn opt_time(&mut self) -> Result<Option<SimTime>, SnapError> {
-        Ok(self.opt_u64()?.map(SimTime::from_ps))
-    }
-
     /// Asserts the whole buffer has been consumed.
     pub fn finish(&self) -> Result<(), SnapError> {
         let left = self.buf.len() - self.pos;
@@ -362,6 +417,508 @@ impl<'a> SnapReader<'a> {
         }
         Ok(())
     }
+}
+
+/// A value whose dynamic state can be snapshotted and restored in
+/// place.
+///
+/// `load` overwrites exactly what `save` wrote, leaving configuration
+/// (anything the declaration marks `static`) as rebuilt. Declare struct
+/// and enum codecs with [`snap_fields!`](crate::snap_fields) /
+/// [`snap_enum!`](crate::snap_enum); implement the trait by hand only for
+/// leaves and validating codecs.
+pub trait Snap {
+    /// Appends this value's dynamic state.
+    fn save(&self, w: &mut SnapWriter);
+
+    /// Overwrites this value's dynamic state from the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapError`] when the stream is truncated, malformed,
+    /// or describes a value of a different shape.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// Decodes a fresh `T` from the stream (for collection elements and
+/// enum fields, which have no rebuilt value to load into).
+///
+/// # Errors
+///
+/// Propagates the element's [`Snap::load`] error.
+pub fn read<T: Snap + Default>(r: &mut SnapReader<'_>) -> Result<T, SnapError> {
+    let mut v = T::default();
+    v.load(r)?;
+    Ok(v)
+}
+
+/// How `Option<Self>` is encoded: a presence byte, then the value.
+///
+/// The provided methods cover the three shapes in use. With the
+/// defaults, presence is fixed by construction (an optional cache
+/// level, an installed program) and a stream that disagrees is
+/// malformed. A type with a [`SnapOpt::blank`] value is decoded into
+/// it when absent, so presence may change during a run; a `DENSE` type
+/// also writes a zero value slot when absent.
+pub trait SnapOpt: Snap + Sized {
+    /// Write a value slot (`blank()`) even when absent.
+    const DENSE: bool = false;
+
+    /// A value to decode into when the option is currently `None`, or
+    /// `None` when only configuration can build one.
+    fn blank() -> Option<Self> {
+        None
+    }
+
+    /// Writes `v` (presence byte plus value).
+    fn save_opt(v: &Option<Self>, w: &mut SnapWriter) {
+        w.bool(v.is_some());
+        match v {
+            Some(x) => x.save(w),
+            None if Self::DENSE => Self::blank().expect("dense options have a blank").save(w),
+            None => {}
+        }
+    }
+
+    /// Overwrites `v` from the stream.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Malformed`] when a fixed presence differs from the
+    /// stream; otherwise the value's own error.
+    fn load_opt(v: &mut Option<Self>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let present = r.bool()?;
+        if present != v.is_some() {
+            let blank = Self::blank()
+                .ok_or(SnapError::Malformed("optional component presence mismatch"))?;
+            *v = present.then_some(blank);
+        }
+        match v {
+            Some(x) => x.load(r),
+            None if Self::DENSE => Self::blank().expect("dense options have a blank").load(r),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<T: SnapOpt> Snap for Option<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        T::save_opt(self, w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        T::load_opt(self, r)
+    }
+}
+
+/// A collection whose shape — length, keys — is fixed by the
+/// configuration it was rebuilt from (one link per fabric edge, one
+/// engine per node). The shape is written, and a stream of a different
+/// shape is malformed; elements load in place. Selected in a
+/// declaration with the `fixed` marker.
+pub trait SnapFixed {
+    /// Writes the shape and every element.
+    fn save_fixed(&self, w: &mut SnapWriter);
+
+    /// Checks the shape and loads every element in place.
+    ///
+    /// # Errors
+    ///
+    /// `SnapError::Malformed(mismatch)` when the stream's shape differs.
+    fn load_fixed(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        mismatch: &'static str,
+    ) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> SnapFixed for Vec<T> {
+    fn save_fixed(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        self.iter().for_each(|x| x.save(w));
+    }
+    fn load_fixed(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        mismatch: &'static str,
+    ) -> Result<(), SnapError> {
+        if r.usize()? != self.len() {
+            return Err(SnapError::Malformed(mismatch));
+        }
+        self.iter_mut().try_for_each(|x| x.load(r))
+    }
+}
+
+impl<K: Snap + Default + PartialEq, V: Snap> SnapFixed for BTreeMap<K, V> {
+    fn save_fixed(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load_fixed(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        mismatch: &'static str,
+    ) -> Result<(), SnapError> {
+        if r.usize()? != self.len() {
+            return Err(SnapError::Malformed(mismatch));
+        }
+        for (k, v) in self.iter_mut() {
+            if read::<K>(r)? != *k {
+                return Err(SnapError::Malformed(mismatch));
+            }
+            v.load(r)?;
+        }
+        Ok(())
+    }
+}
+
+/// Checks that the stream holds `v`'s rebuilt value (the `check`
+/// marker: identity fields written for verification, never restored).
+///
+/// # Errors
+///
+/// `SnapError::Malformed(mismatch)` when the values differ.
+pub fn load_check<T: Snap + Default + PartialEq>(
+    v: &T,
+    r: &mut SnapReader<'_>,
+    mismatch: &'static str,
+) -> Result<(), SnapError> {
+    if read::<T>(r)? != *v {
+        return Err(SnapError::Malformed(mismatch));
+    }
+    Ok(())
+}
+
+/// Leaf impls over a writer/reader primitive pair.
+macro_rules! leaf {
+    ($($t:ty => $put:ident / $get:ident),* $(,)?) => {$(
+        impl Snap for $t {
+            fn save(&self, w: &mut SnapWriter) {
+                w.$put(*self);
+            }
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                *self = r.$get()?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+leaf! {
+    u8 => u8 / u8,
+    u16 => u16 / u16,
+    u32 => u32 / u32,
+    u64 => u64 / u64,
+    u128 => u128 / u128,
+    usize => usize / usize,
+    bool => bool / bool,
+    f64 => f64 / f64,
+    SimTime => time / time,
+    SimDuration => dur / dur,
+}
+
+impl SnapOpt for u64 {
+    const DENSE: bool = true;
+    fn blank() -> Option<Self> {
+        Some(0)
+    }
+}
+
+impl SnapOpt for SimTime {
+    const DENSE: bool = true;
+    fn blank() -> Option<Self> {
+        Some(SimTime::ZERO)
+    }
+}
+
+/// Growable collections: the length, then each element; loading
+/// rebuilds the collection from fresh elements.
+macro_rules! seq {
+    ($($c:ident::$push:ident $(+ $ord:ident)?),*) => {$(
+        impl<T: Snap + Default $(+ $ord)?> Snap for $c<T> {
+            fn save(&self, w: &mut SnapWriter) {
+                w.usize(self.len());
+                self.iter().for_each(|x| x.save(w));
+            }
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                let n = r.len_prefix()?;
+                self.clear();
+                for _ in 0..n {
+                    self.$push(read(r)?);
+                }
+                Ok(())
+            }
+        }
+    )*};
+}
+
+seq!(Vec::push, VecDeque::push_back, BTreeSet::insert + Ord);
+
+impl<T: Snap + Default> SnapOpt for Vec<T> {
+    fn blank() -> Option<Self> {
+        Some(Vec::new())
+    }
+}
+
+/// A fixed-size array: the length is written and must match.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(N);
+        self.iter().for_each(|x| x.save(w));
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        if r.usize()? != N {
+            return Err(SnapError::Malformed("array length mismatch"));
+        }
+        self.iter_mut().try_for_each(|x| x.load(r))
+    }
+}
+
+impl<T: Snap + Default, const N: usize> SnapOpt for [T; N]
+where
+    [T; N]: Default,
+{
+    fn blank() -> Option<Self> {
+        Some(Self::default())
+    }
+}
+
+impl<K: Snap + Default + Ord, V: Snap + Default> Snap for BTreeMap<K, V> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len_prefix()?;
+        self.clear();
+        for _ in 0..n {
+            let k = read(r)?;
+            self.insert(k, read(r)?);
+        }
+        Ok(())
+    }
+}
+
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+        self.1.save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.0.load(r)?;
+        self.1.load(r)
+    }
+}
+
+impl<T: Snap + ?Sized> Snap for Box<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        (**self).save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        (**self).load(r)
+    }
+}
+
+/// A boxed value (an installed program or handler) is built from
+/// configuration, so its presence is fixed.
+impl<T: Snap + ?Sized> SnapOpt for Box<T> {}
+
+impl<T: Snap + ?Sized> Snap for Rc<RefCell<T>> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.borrow().save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.borrow_mut().load(r)
+    }
+}
+
+/// Declares a struct's [`Snap`] codec from one field list.
+///
+/// Items are listed in wire order, comma-separated:
+///
+/// - `name` — dynamic state, written and loaded via [`Snap`];
+/// - `fixed name` — a collection whose shape is checked ([`SnapFixed`]);
+/// - `each name` — a collection of fixed length written element by
+///   element with no length (loaded in place);
+/// - `check name` — written, and on load compared against the rebuilt
+///   value instead of restored;
+/// - `static name` — configuration rebuilt before `load`; not encoded;
+/// - `"tag"` — a section tag ([`SnapWriter::section`]).
+///
+/// Every field of the struct must appear exactly once: the expansion
+/// destructures `Self` without `..`. An optional trailing `after path`
+/// names a `fn(&mut Self) -> Result<(), SnapError>` (or `&Self`) run
+/// after a load: it checks invariants between fields, or re-derives
+/// configuration that depends on restored state. Generic structs put their
+/// impl generics first in brackets:
+/// `snap_fields! { [E: Snap + Default] Scheduler<E> { ... } }`. Tuple
+/// structs name their fields positionally: `snap_fields!(Counter(n));`.
+#[macro_export]
+macro_rules! snap_fields {
+    ($([$($gen:tt)*])? $name:ident $(<$($p:ident),*>)? ($($f:ident),* $(,)?)) => {
+        impl<$($($gen)*)?> $crate::snap::Snap for $name $(<$($p),*>)? {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self($($f),*) = self;
+                $($crate::snap::Snap::save($f, w);)*
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<(), $crate::snap::SnapError> {
+                let Self($($f),*) = self;
+                $($crate::snap::Snap::load($f, r)?;)*
+                Ok(())
+            }
+        }
+    };
+    ([$($gen:tt)*] $ty:ty { $($items:tt)* } $(after $check:path)?) => {
+        $crate::__snap_parse! { [$($gen)*] $ty; [$($check)?]; []; []; $($items)* }
+    };
+    ($ty:ty { $($items:tt)* } $(after $check:path)?) => {
+        $crate::snap_fields! { [] $ty { $($items)* } $(after $check)? }
+    };
+}
+
+/// Field-list muncher behind [`snap_fields!`](crate::snap_fields).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_parse {
+    ($g:tt $ty:ty; $c:tt; [$($pat:tt)*]; [$($op:tt)*]; static $f:ident $(, $($rest:tt)*)?) => {
+        $crate::__snap_parse! { $g $ty; $c; [$($pat)* $f: _,]; [$($op)*]; $($($rest)*)? }
+    };
+    ($g:tt $ty:ty; $c:tt; [$($pat:tt)*]; [$($op:tt)*]; fixed $f:ident $(, $($rest:tt)*)?) => {
+        $crate::__snap_parse! { $g $ty; $c; [$($pat)* $f,]; [$($op)* (fixed $f)]; $($($rest)*)? }
+    };
+    ($g:tt $ty:ty; $c:tt; [$($pat:tt)*]; [$($op:tt)*]; each $f:ident $(, $($rest:tt)*)?) => {
+        $crate::__snap_parse! { $g $ty; $c; [$($pat)* $f,]; [$($op)* (each $f)]; $($($rest)*)? }
+    };
+    ($g:tt $ty:ty; $c:tt; [$($pat:tt)*]; [$($op:tt)*]; check $f:ident $(, $($rest:tt)*)?) => {
+        $crate::__snap_parse! { $g $ty; $c; [$($pat)* $f,]; [$($op)* (check $f)]; $($($rest)*)? }
+    };
+    ($g:tt $ty:ty; $c:tt; [$($pat:tt)*]; [$($op:tt)*]; $s:literal $(, $($rest:tt)*)?) => {
+        $crate::__snap_parse! { $g $ty; $c; [$($pat)*]; [$($op)* (section $s)]; $($($rest)*)? }
+    };
+    ($g:tt $ty:ty; $c:tt; [$($pat:tt)*]; [$($op:tt)*]; $f:ident $(, $($rest:tt)*)?) => {
+        $crate::__snap_parse! { $g $ty; $c; [$($pat)* $f,]; [$($op)* (plain $f)]; $($($rest)*)? }
+    };
+    ([$($gen:tt)*] $ty:ty; [$($check:path)?]; [$($pat:tt)*]; [$($op:tt)*];) => {
+        impl<$($gen)*> $crate::snap::Snap for $ty {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($pat)* } = self;
+                $($crate::__snap_op!(save w $op);)*
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<(), $crate::snap::SnapError> {
+                let Self { $($pat)* } = self;
+                $($crate::__snap_op!(load r $op);)*
+                $($check(self)?;)?
+                Ok(())
+            }
+        }
+    };
+}
+
+/// One field's save or load step, for [`snap_fields!`](crate::snap_fields).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_op {
+    (save $w:ident (plain $f:ident)) => {
+        $crate::snap::Snap::save($f, $w)
+    };
+    (load $r:ident (plain $f:ident)) => {
+        $crate::snap::Snap::load($f, $r)?
+    };
+    (save $w:ident (check $f:ident)) => {
+        $crate::snap::Snap::save($f, $w)
+    };
+    (load $r:ident (check $f:ident)) => {
+        $crate::snap::load_check(
+            $f,
+            $r,
+            concat!("`", stringify!($f), "` differs from the rebuilt value"),
+        )?
+    };
+    (save $w:ident (fixed $f:ident)) => {
+        $crate::snap::SnapFixed::save_fixed($f, $w)
+    };
+    (load $r:ident (fixed $f:ident)) => {
+        $crate::snap::SnapFixed::load_fixed(
+            $f,
+            $r,
+            concat!("`", stringify!($f), "` shape differs from the rebuilt one"),
+        )?
+    };
+    (save $w:ident (each $f:ident)) => {
+        for x in $f.iter() {
+            $crate::snap::Snap::save(x, $w);
+        }
+    };
+    (load $r:ident (each $f:ident)) => {
+        for x in $f.iter_mut() {
+            $crate::snap::Snap::load(x, $r)?;
+        }
+    };
+    (save $w:ident (section $s:literal)) => {
+        $w.section($s)
+    };
+    (load $r:ident (section $s:literal)) => {
+        $r.section($s)?
+    };
+}
+
+/// Declares an enum's tagged [`Snap`] codec: a tag byte, then the
+/// variant's fields in the order listed.
+///
+/// ```text
+/// snap_enum!(Event, "event tag" {
+///     0 => Start(node),
+///     1 => Done { host, req },
+///     2 => Idle,
+/// });
+/// ```
+///
+/// Saving matches every variant without `..`, so a variant or field
+/// missing from the list is a compile error. Loading replaces the value
+/// with the decoded variant (its fields must be `Default`); an unknown
+/// tag is `SnapError::Malformed` with the given message.
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ty, $bad:literal {
+        $($tag:literal => $v:ident $(($($t:ident),* $(,)?))? $({$($f:ident),* $(,)?})?),* $(,)?
+    }) => {
+        impl $crate::snap::Snap for $ty {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(Self::$v $(($($t),*))? $({$($f),*})? => {
+                        w.u8($tag);
+                        $($($crate::snap::Snap::save($t, w);)*)?
+                        $($($crate::snap::Snap::save($f, w);)*)?
+                    })*
+                }
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<(), $crate::snap::SnapError> {
+                *self = match r.u8()? {
+                    $($tag => {
+                        $($(let $t = $crate::snap::read(r)?;)*)?
+                        $($(let $f = $crate::snap::read(r)?;)*)?
+                        Self::$v $(($($t),*))? $({$($f),*})?
+                    })*
+                    _ => return Err($crate::snap::SnapError::Malformed($bad)),
+                };
+                Ok(())
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -386,7 +943,6 @@ mod tests {
         w.str("héllo");
         w.opt_u64(Some(5));
         w.opt_u64(None);
-        w.opt_time(Some(SimTime::from_ps(1)));
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes).unwrap();
@@ -405,7 +961,6 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.opt_u64().unwrap(), Some(5));
         assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_time().unwrap(), Some(SimTime::from_ps(1)));
         r.finish().unwrap();
     }
 

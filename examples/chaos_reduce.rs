@@ -76,6 +76,7 @@ struct CountHandler {
     total: u64,
     expect: u64,
 }
+asan_sim::snap_fields! { CountHandler { count, total, static host, static expect } }
 impl Handler for CountHandler {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
         let data = ctx.payload();
@@ -93,6 +94,7 @@ struct ActiveCount {
     sw: NodeId,
     result: Option<u64>,
 }
+asan_sim::snap_fields! { ActiveCount { result, static file, static sw } }
 impl HostProgram for ActiveCount {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         let len = ctx.file_len(self.file);

@@ -22,6 +22,11 @@ struct ThresholdFilter {
     seen: u64,
     expect: u64,
 }
+asan_sim::snap_fields! {
+    ThresholdFilter {
+        kept, seen, static threshold, static host, static expect,
+    }
+}
 
 impl Handler for ThresholdFilter {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -54,6 +59,7 @@ struct Driver {
     sw: NodeId,
     bytes_in: u64,
 }
+asan_sim::snap_fields! { Driver { bytes_in, static file, static sw } }
 
 impl HostProgram for Driver {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {

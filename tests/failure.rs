@@ -40,6 +40,7 @@ struct OneRead {
     file: FileId,
     len: u64,
 }
+asan_sim::snap_fields! { OneRead { static file, static len } }
 impl HostProgram for OneRead {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.read_file(self.file, 0, self.len, Dest::HostBuf { addr: 0x1000_0000 });
@@ -57,6 +58,7 @@ struct CountHandler {
     total: u64,
     expect: u64,
 }
+asan_sim::snap_fields! { CountHandler { count, total, static needle, static host, static expect } }
 impl Handler for CountHandler {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
         let data = ctx.payload();
@@ -75,6 +77,7 @@ struct ActiveCount {
     sw: NodeId,
     result: Option<u64>,
 }
+asan_sim::snap_fields! { ActiveCount { result, static file, static sw } }
 impl HostProgram for ActiveCount {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         let len = ctx.file_len(self.file);
@@ -107,6 +110,7 @@ fn buffer_hoarding_backpressures_but_progresses() {
         held: Vec<asan_core::BufId>,
         invocations: u32,
     }
+    asan_sim::snap_fields! { Hoarder { held, invocations } }
     impl Handler for Hoarder {
         fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
             let _ = ctx.payload();
@@ -185,6 +189,7 @@ fn livelock_guard_trips() {
     struct PingPong {
         peer: NodeId,
     }
+    asan_sim::snap_fields! { PingPong { static peer } }
     impl HostProgram for PingPong {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
             ctx.send(self.peer, None, 0, vec![1]);
@@ -237,6 +242,7 @@ fn read_past_eof_rejected() {
     struct BadReader {
         file: FileId,
     }
+    asan_sim::snap_fields! { BadReader { static file } }
     impl HostProgram for BadReader {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
             let len = ctx.file_len(self.file);
