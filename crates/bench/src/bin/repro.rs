@@ -1074,16 +1074,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Snapshot-encoding pin: the FNV-1a of every `<tag>.snap` that the
 /// golden and golden-fabric sweeps write when paused after 10 events
 /// (every cell) and after 500 (the long cells, mid-stream with credits
-/// and I/O requests in flight). The committed
+/// and I/O requests in flight). Each paused sweep must also print the
+/// plain sweep's digests. The committed
 /// `tests/golden_snapshots.txt` holds the output of
 /// `repro --small golden-snapshots`; a codec change that moves a single
 /// snapshot byte shows up as a diff.
 fn golden_snapshots(sc: &Scale) {
+    let exps = ["golden", "golden-fabric"];
+    let plain = exps.map(|exp| golden_child(sc, exp, &[]));
     for events in [PAUSE_EVERY_CELL, "500"] {
-        for exp in ["golden", "golden-fabric"] {
+        for (exp, plain) in exps.iter().zip(&plain) {
             let dir = snap_dir(&format!("snaphash-{events}-{exp}"));
-            let (_, files) = paused_child(sc, exp, events, &dir);
+            let (paused, files) = paused_child(sc, exp, events, &dir);
             let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(
+                &paused, plain,
+                "{exp}: pausing after {events} events changed a digest"
+            );
             for (tag, bytes) in files {
                 println!("{events} {exp} {tag} {:016x}", fnv1a(&bytes));
             }

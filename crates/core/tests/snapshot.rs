@@ -11,7 +11,7 @@ use asan_core::cluster::{Cluster, ClusterConfig, Dest, FileId, HostCtx, HostMsg,
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::topo::{SwitchSpec, TopologyBuilder};
 use asan_net::{HandlerId, LinkConfig, NodeId};
-use asan_sim::faults::FaultPlan;
+use asan_sim::faults::{FaultPlan, HandlerTrap};
 
 fn single_switch(hosts: usize, tcas: usize) -> (TopologyBuilder, Vec<NodeId>, Vec<NodeId>, NodeId) {
     let mut b = TopologyBuilder::new();
@@ -199,6 +199,26 @@ fn timeout_window_snapshot_restores_identically() {
     assert_roundtrips(
         || build_active(Some(plan.clone()), 8 * 1024),
         &[5, 20, 45, 80, 130, 200],
+    );
+}
+
+#[test]
+fn handler_trap_snapshot_restores_identically() {
+    // A trap migrates the handler to the host fallback engine mid-run;
+    // pauses after it must replay the migration before loading the
+    // handler's state on the fallback side.
+    let mut plan = FaultPlan::quiet(7);
+    plan.handler_traps.push(HandlerTrap {
+        node: None,
+        handler: 1,
+        at_invocation: 3,
+    });
+    let mut probe = build_active(Some(plan.clone()), 16 * 1024);
+    assert!(probe.run_events(20).unwrap().is_none());
+    assert_eq!(probe.fault_stats().handler_trap.degraded, 1, "trap fired");
+    assert_roundtrips(
+        || build_active(Some(plan.clone()), 16 * 1024),
+        &[5, 20, 40, 80, 120],
     );
 }
 

@@ -1024,6 +1024,47 @@ mod tests {
     }
 
     #[test]
+    fn collection_lengths_are_bounded_by_the_buffer() {
+        let mut w = SnapWriter::new();
+        w.u64(u64::MAX);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let mut v: Vec<u64> = Vec::new();
+        assert!(matches!(v.load(&mut r), Err(SnapError::Truncated { .. })));
+    }
+
+    #[test]
+    fn option_shapes() {
+        let mut w = SnapWriter::new();
+        None::<u64>.save(&mut w); // dense: presence byte + zero slot
+        None::<Vec<u8>>.save(&mut w); // sparse: presence byte only
+        Some(Box::new(7u64)).save(&mut w); // fixed: presence must match
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 6 + 9 + 1 + 9);
+
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let mut dense = Some(3u64);
+        dense.load(&mut r).unwrap();
+        assert_eq!(dense, None);
+        let mut sparse = Some(vec![1u8]);
+        sparse.load(&mut r).unwrap();
+        assert_eq!(sparse, None);
+        let mut fixed: Option<Box<u64>> = None;
+        assert!(matches!(fixed.load(&mut r), Err(SnapError::Malformed(_))));
+    }
+
+    #[test]
+    fn fixed_shapes_must_match() {
+        let mut w = SnapWriter::new();
+        vec![1u64, 2].save_fixed(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let mut three = vec![0u64; 3];
+        let got = three.load_fixed(&mut r, "count");
+        assert_eq!(got, Err(SnapError::Malformed("count")));
+    }
+
+    #[test]
     fn errors_display() {
         let msgs = [
             SnapError::Truncated { needed: 4 }.to_string(),
