@@ -16,19 +16,28 @@ use asan_sim::trace::TraceCtx;
 use asan_sim::SimTime;
 
 use crate::error::SimError;
-use crate::events::{Dest, Event, EventBus, ReqId};
-
-use super::Engine;
+use crate::events::{Dest, EventBus, FabricEvent, FaultKind, HostEvent, ReqId};
 
 /// The fabric subsystem engine: the packet reliability protocol over
 /// the shared request table.
 #[derive(Debug, Default)]
 pub struct FabricEngine;
 
-impl Engine for FabricEngine {
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError> {
+impl FabricEngine {
+    /// Handles one fabric event popped at time `t`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::RetriesExhausted`] when a request's
+    /// end-to-end timeout fires past the fault plan's retry budget.
+    pub fn on_event(
+        &mut self,
+        t: SimTime,
+        ev: FabricEvent,
+        bus: &mut EventBus<'_>,
+    ) -> Result<(), SimError> {
         match ev {
-            Event::InjectIoPacket {
+            FabricEvent::InjectIoPacket {
                 src,
                 dst,
                 handler,
@@ -61,13 +70,13 @@ impl Engine for FabricEngine {
                             );
                             pkt.corrupt_payload_bit(bit);
                             debug_assert!(!pkt.icrc_ok(), "corruption must break the ICRC");
-                            bus.mark_faulted(req, seq, 1);
+                            bus.mark_faulted(req, seq, FaultKind::Corrupt);
                             let inj = bus.injector.as_mut().expect("armed");
                             inj.stats.packet_corrupt.detected += 1;
                             let nak = inj.plan().nak_retransmit;
                             let delay = inj.plan().nak_delay;
                             if nak {
-                                bus.push(d.arrival + delay, Event::Retransmit { req, seq });
+                                bus.push(d.arrival + delay, FabricEvent::Retransmit { req, seq });
                             }
                             return Ok(());
                         }
@@ -76,13 +85,13 @@ impl Engine for FabricEngine {
                             // the receiver's sequence-gap NAK (or the
                             // end-to-end timeout) detects the hole.
                             let d = bus.fabric.transmit(wire, src, dst, t);
-                            bus.mark_faulted(req, seq, 2);
+                            bus.mark_faulted(req, seq, FaultKind::Drop);
                             let inj = bus.injector.as_mut().expect("armed");
                             inj.stats.packet_drop.detected += 1;
                             let nak = inj.plan().nak_retransmit;
                             let delay = inj.plan().nak_delay;
                             if nak {
-                                bus.push(d.arrival + delay, Event::Retransmit { req, seq });
+                                bus.push(d.arrival + delay, FabricEvent::Retransmit { req, seq });
                             }
                             return Ok(());
                         }
@@ -91,7 +100,7 @@ impl Engine for FabricEngine {
                 let d = bus.transmit(wire, src, dst, t, TraceCtx { trace, parent: 0 });
                 bus.deliver(src, dst, handler, addr, payload, seq, d, io_req, trace);
             }
-            Event::Retransmit { req, seq } => {
+            FabricEvent::Retransmit { req, seq } => {
                 let Some(st) = bus.reqs.get(&req) else {
                     return Ok(());
                 };
@@ -100,7 +109,7 @@ impl Engine for FabricEngine {
                 }
                 Self::retransmit_seq(req, seq, t, bus);
             }
-            Event::RequestTimeout { req, attempt } => {
+            FabricEvent::RequestTimeout { req, attempt } => {
                 let max = match bus.injector.as_ref() {
                     Some(i) => i.plan().max_retries,
                     None => return Ok(()),
@@ -140,25 +149,22 @@ impl Engine for FabricEngine {
                 }
                 bus.push(
                     next_at,
-                    Event::RequestTimeout {
+                    FabricEvent::RequestTimeout {
                         req,
                         attempt: next_attempt,
                     },
                 );
             }
-            Event::CompletionNotice { tca, host, req } => {
+            FabricEvent::CompletionNotice { tca, host, req } => {
                 let wire = HEADER_BYTES as u64;
                 let ctx = bus.probe.trace_for_req(req.0);
                 let d = bus.transmit(wire, tca, host, t, ctx);
-                bus.push(d.arrival, Event::IoComplete { host, req });
+                bus.push(d.arrival, HostEvent::IoComplete { host, req });
             }
-            other => unreachable!("not a fabric event: {other:?}"),
         }
         Ok(())
     }
-}
 
-impl FabricEngine {
     /// Arms the run-scoped fabric faults of `plan`: scheduled link
     /// outages and the restricted credit limit.
     pub(crate) fn arm(plan: &FaultPlan, fabric: &mut Fabric) {
@@ -207,7 +213,7 @@ impl FabricEngine {
         let trace = bus.probe.trace_for_req(req.0).trace;
         bus.push(
             now,
-            Event::InjectIoPacket {
+            FabricEvent::InjectIoPacket {
                 src,
                 dst,
                 handler,

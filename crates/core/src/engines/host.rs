@@ -20,10 +20,10 @@ use asan_sim::{SimDuration, SimTime};
 
 use crate::cluster::{ClusterConfig, HostReport};
 use crate::error::SimError;
-use crate::events::{Dest, Event, EventBus, FileId, FileMeta, HostMsg, IoState, ReqId};
+use crate::events::{
+    Dest, EventBus, FabricEvent, FileId, FileMeta, HostEvent, HostMsg, IoState, ReqId, StorageEvent,
+};
 use crate::stats::{snap_cpu, HostSnapshot};
-
-use super::Engine;
 
 /// A host-resident application (one per compute node).
 ///
@@ -191,13 +191,19 @@ pub struct HostEngine {
     next_req: u64,
 }
 
-impl Engine for HostEngine {
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError> {
+impl HostEngine {
+    /// Handles one host event popped at time `t`.
+    pub fn on_event(
+        &mut self,
+        t: SimTime,
+        ev: HostEvent,
+        bus: &mut EventBus<'_>,
+    ) -> Result<(), SimError> {
         match ev {
-            Event::Start(h) => {
+            HostEvent::Start(h) => {
                 self.call_host(h, t, None, None, bus);
             }
-            Event::PacketToHost { host, msg, io_req } => {
+            HostEvent::PacketToHost { host, msg, io_req } => {
                 let bytes = msg.data.len() as u64;
                 let seq = msg.seq;
                 let lat = self.hosts[&host].hca.config().recv_latency;
@@ -218,9 +224,9 @@ impl Engine for HostEngine {
                                 return Ok(()); // duplicate delivery
                             }
                             st.got[i] = true;
-                            let cat = std::mem::take(&mut st.faulted[i]);
+                            let fault = std::mem::take(&mut st.faulted[i]);
                             let all = st.got.iter().all(|&g| g);
-                            bus.note_recovered(cat);
+                            bus.note_recovered(fault);
                             all
                         };
                         // Only accepted stripes count as host payload:
@@ -231,7 +237,7 @@ impl Engine for HostEngine {
                             .payload
                             .record_in(bytes);
                         if done {
-                            bus.push(t + lat, Event::IoComplete { host, req });
+                            bus.push(t + lat, HostEvent::IoComplete { host, req });
                         }
                     }
                     None => {
@@ -244,7 +250,7 @@ impl Engine for HostEngine {
                     }
                 }
             }
-            Event::IoComplete { host, req } => {
+            HostEvent::IoComplete { host, req } => {
                 // The dispatch engine's reorder buffer for this flow, if
                 // any, was already cleared when its last packet arrived.
                 let st = bus.reqs.remove(&req).expect("live request");
@@ -270,13 +276,10 @@ impl Engine for HostEngine {
                 let at = self.hosts[&host].cpu.now();
                 self.call_host(host, at, Some(req), None, bus);
             }
-            other => unreachable!("not a host event: {other:?}"),
         }
         Ok(())
     }
-}
 
-impl HostEngine {
     /// Adds a host node configured per `cfg`.
     pub(crate) fn add_host(&mut self, id: NodeId, cfg: &ClusterConfig) {
         self.hosts.insert(
@@ -466,7 +469,7 @@ impl HostEngine {
                     );
                     bus.push(
                         d.arrival,
-                        Event::IoRequestAtTca {
+                        StorageEvent::IoRequestAtTca {
                             tca,
                             req,
                             file,
@@ -488,7 +491,7 @@ impl HostEngine {
                     if faultable {
                         bus.push(
                             issue_at + timeout,
-                            Event::RequestTimeout { req, attempt: 0 },
+                            FabricEvent::RequestTimeout { req, attempt: 0 },
                         );
                     }
                 }

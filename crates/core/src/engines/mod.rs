@@ -1,17 +1,26 @@
 //! The four subsystem engines the cluster simulation is composed of.
 //!
-//! Each engine owns one subsystem's private state and handles the
-//! [`Event`] variants routed to it (see [`route`]):
+//! Each engine owns one subsystem's private state and handles one
+//! event enum, the arm of [`Event`] that names it:
 //!
-//! * [`HostEngine`] — program scheduling, CPU/memory charging, host
-//!   message delivery and I/O completion;
-//! * [`FabricEngine`] — the packet reliability protocol: injection,
-//!   fault fates, NAK/timeout retransmission, completion notices;
-//! * [`DispatchEngine`] — active switches and active TCAs: handler
-//!   dispatch, the mapped-flow reorder buffer, handler-trap migration
-//!   to a host-side fallback engine;
-//! * [`StorageEngine`] — TCA/SCSI/disk requests, read scheduling, and
-//!   archive-write aggregation.
+//! * [`HostEngine`] ([`HostEvent`]): program scheduling, CPU/memory
+//!   charging, host message delivery and I/O completion;
+//! * [`FabricEngine`] ([`FabricEvent`]): the packet reliability
+//!   protocol: injection, fault fates, NAK/timeout retransmission,
+//!   completion notices;
+//! * [`DispatchEngine`] ([`DispatchEvent`]): active switches and
+//!   active TCAs: handler dispatch, the mapped-flow reorder buffer,
+//!   handler-trap migration to a host-side fallback engine;
+//! * [`StorageEngine`] ([`StorageEvent`]): TCA/SCSI/disk requests,
+//!   read scheduling, and archive-write aggregation.
+//!
+//! Each engine's `on_event` takes only its own enum and matches it
+//! without a wildcard arm, and `Cluster::handle` matches the four arms
+//! of [`Event`]. An event handed to the wrong engine, or a variant no
+//! engine handles, does not compile. The `deny` below keeps a `_ =>`
+//! or binding catch-all from hiding a new variant again; clippy reports
+//! a catch-all that covers one variant under the second lint, so both
+//! are needed.
 //!
 //! Engines never call each other: cross-subsystem effects travel as
 //! events through the [`EventBus`], so every interaction is an ordered,
@@ -19,13 +28,25 @@
 //!
 //! # Adding an engine
 //!
-//! 1. Add the subsystem's events to [`Event`] (with a `trace_label`).
-//! 2. Map them to a new [`Subsystem`] variant in [`route`].
-//! 3. Implement [`Engine::on_event`] over those variants, reaching
+//! 1. Add a `<Name>Event` enum (with its snapshot tags) and an
+//!    [`Event`] arm wrapping it.
+//! 2. Implement the engine's `on_event` over that enum, reaching
 //!    shared services only through the [`EventBus`].
-//! 4. Compose it in [`crate::cluster::Cluster`]: construct it in
-//!    `new`, route to it in `handle`, and fold its counters into
+//! 3. Compose it in [`crate::cluster::Cluster`]: construct it in
+//!    `new`, hand it its arm in `handle`, and fold its counters into
 //!    `stats`/`RunReport` if it reports any.
+//!
+//! [`Event`]: crate::events::Event
+//! [`EventBus`]: crate::events::EventBus
+//! [`HostEvent`]: crate::events::HostEvent
+//! [`FabricEvent`]: crate::events::FabricEvent
+//! [`DispatchEvent`]: crate::events::DispatchEvent
+//! [`StorageEvent`]: crate::events::StorageEvent
+
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod dispatch;
 pub mod fabric;
@@ -39,50 +60,3 @@ pub use dispatch::DispatchEngine;
 pub use fabric::FabricEngine;
 pub use host::{HostCtx, HostEngine, HostProgram};
 pub use storage::StorageEngine;
-
-use asan_sim::SimTime;
-
-use crate::error::SimError;
-use crate::events::{Event, EventBus};
-
-/// One subsystem engine: handles the events routed to it, using the
-/// bus for everything shared and scheduling follow-up events for
-/// anything that crosses a subsystem boundary.
-pub trait Engine {
-    /// Handles one event popped at time `t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when the simulated system itself fails
-    /// hard (e.g. [`SimError::RetriesExhausted`] under fault
-    /// injection).
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError>;
-}
-
-/// The subsystem owning each event kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Subsystem {
-    /// Host programs and their CPUs.
-    Host,
-    /// The packet reliability protocol.
-    Fabric,
-    /// Active switches / active TCAs.
-    Dispatch,
-    /// TCAs and their disk arrays.
-    Storage,
-}
-
-/// Routes an event to the engine that owns it.
-pub fn route(ev: &Event) -> Subsystem {
-    match ev {
-        Event::Start(_) | Event::PacketToHost { .. } | Event::IoComplete { .. } => Subsystem::Host,
-        Event::InjectIoPacket { .. }
-        | Event::Retransmit { .. }
-        | Event::RequestTimeout { .. }
-        | Event::CompletionNotice { .. } => Subsystem::Fabric,
-        Event::PacketToSwitch { .. } | Event::FallbackDispatch { .. } => Subsystem::Dispatch,
-        Event::PacketToTca { .. } | Event::IoRequestAtTca { .. } | Event::SwitchIoAtTca { .. } => {
-            Subsystem::Storage
-        }
-    }
-}

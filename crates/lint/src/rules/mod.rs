@@ -4,8 +4,8 @@
 //! functions over one lexed file — right for token-local properties
 //! (a `HashMap` ident, a wall-clock path). **Workspace rules**
 //! ([`WorkspaceRule`]) run over the phase-1 [`WorkspaceIndex`] and
-//! check cross-file contracts — an `Event` variant constructed in one
-//! crate must be matched by exactly one engine in another. Scoping (which workspace paths a file rule patrols)
+//! check cross-file contracts — engine domains share no mutable state
+//! reachable through the types declared in other files. Scoping (which workspace paths a file rule patrols)
 //! lives on the rule itself so the driver stays generic; `--scope-all`
 //! overrides scoping, which is how the fixture tests exercise rules
 //! outside their home crates.
@@ -17,8 +17,6 @@ use crate::lexer::{Kind, Lexed, Token};
 mod ambient_randomness;
 mod digest_completeness;
 mod domain_isolation;
-mod event_exhaustiveness;
-mod event_flow_closure;
 mod hot_path_clone;
 mod lossy_cast;
 mod unit_mixing;
@@ -30,8 +28,10 @@ mod wall_clock;
 /// renamed. `1` was the eight-rule per-file era (PRs 3–6); `2` added
 /// the five cross-file rules built on the workspace index; `3` dropped
 /// `snapshot-completeness` and `snapshot-symmetry`, whose properties
-/// the `Snap` field-list declarations now enforce at compile time.
-pub const CATALOG_VERSION: u32 = 3;
+/// the `Snap` field-list declarations now enforce at compile time; `4`
+/// dropped `event-exhaustiveness` and `event-flow-closure`, whose
+/// properties the per-engine event enums now enforce at compile time.
+pub const CATALOG_VERSION: u32 = 4;
 
 /// One per-file invariant check.
 pub trait Rule {
@@ -86,7 +86,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(wall_clock::NoWallClock),
         Box::new(ambient_randomness::NoAmbientRandomness),
         Box::new(lossy_cast::LossyModelCast),
-        Box::new(event_exhaustiveness::EventExhaustiveness),
         Box::new(digest_completeness::DigestCompleteness),
         Box::new(hot_path_clone::NoHotPathClone),
         Box::new(unit_mixing::UnitMixing),
@@ -97,10 +96,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 /// here: it is computed by the driver, which alone knows which
 /// directives suppressed a finding (see `unused_allow`'s module docs).
 pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
-        Box::new(event_flow_closure::EventFlowClosure),
-        Box::new(domain_isolation::DomainIsolation),
-    ]
+    vec![Box::new(domain_isolation::DomainIsolation)]
 }
 
 /// One row of the machine-readable rule catalog (`--list-rules`).

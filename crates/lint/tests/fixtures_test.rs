@@ -6,17 +6,15 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// The eleven rules and their fixture basenames.
-const RULES: [&str; 11] = [
+/// The nine rules and their fixture basenames.
+const RULES: [&str; 9] = [
     "no-unordered-iteration",
     "no-wall-clock",
     "no-ambient-randomness",
     "lossy-model-cast",
-    "event-exhaustiveness",
     "digest-completeness",
     "no-hot-path-clone",
     "no-unit-mixing",
-    "event-flow-closure",
     "domain-isolation",
     "unused-allow",
 ];

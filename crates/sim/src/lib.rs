@@ -63,7 +63,7 @@ pub use hist::LogHistogram;
 pub use perfetto::PerfettoSink;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use sched::{Scheduler, Traceable};
+pub use sched::Scheduler;
 pub use series::{TimeSeries, Timeline, Track};
 pub use snap::{SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

@@ -10,15 +10,10 @@
 //! # Example
 //!
 //! ```
-//! use asan_sim::sched::{Scheduler, Traceable};
+//! use asan_sim::sched::Scheduler;
 //! use asan_sim::SimTime;
 //!
 //! struct Tick;
-//! impl Traceable for Tick {
-//!     fn trace_label(&self) -> &'static str {
-//!         "Tick"
-//!     }
-//! }
 //!
 //! let mut s: Scheduler<Tick> = Scheduler::new();
 //! s.push(SimTime::from_ns(3), Tick);
@@ -31,12 +26,6 @@ use crate::queue::EventQueue;
 use crate::snap::Snap;
 use crate::snap_fields;
 use crate::time::SimTime;
-
-/// Types that can name themselves for diagnostics and traces.
-pub trait Traceable {
-    /// A short static label naming this event's kind.
-    fn trace_label(&self) -> &'static str;
-}
 
 /// The pending-event set plus run bookkeeping: a processed-event
 /// counter.
@@ -51,7 +40,7 @@ pub struct Scheduler<E> {
     peak_len: usize,
 }
 
-impl<E: Traceable> Scheduler<E> {
+impl<E> Scheduler<E> {
     /// Creates an empty scheduler.
     pub fn new() -> Self {
         Scheduler {
@@ -85,17 +74,6 @@ impl<E: Traceable> Scheduler<E> {
         self.peak_len
     }
 
-    /// Events per wall-clock second given an externally measured
-    /// elapsed time. The scheduler itself never reads a clock — the
-    /// caller (a benchmark harness) supplies the seconds, keeping this
-    /// crate free of wall-clock dependence.
-    pub fn events_per_sec(&self, elapsed_secs: f64) -> f64 {
-        if elapsed_secs <= 0.0 {
-            return 0.0;
-        }
-        self.processed as f64 / elapsed_secs
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -112,7 +90,7 @@ impl<E: Traceable> Scheduler<E> {
 // counters exactly.
 snap_fields! { [E: Snap + Default] Scheduler<E> { queue, processed, peak_len } }
 
-impl<E: Traceable> Default for Scheduler<E> {
+impl<E> Default for Scheduler<E> {
     fn default() -> Self {
         Scheduler::new()
     }
@@ -125,11 +103,6 @@ mod tests {
 
     #[derive(Debug, Default, PartialEq)]
     struct Ev(u32);
-    impl Traceable for Ev {
-        fn trace_label(&self) -> &'static str {
-            "Ev"
-        }
-    }
     snap_fields!(Ev(n));
 
     #[test]
@@ -166,8 +139,6 @@ mod tests {
         s.pop();
         s.push(SimTime::ZERO, Ev(2));
         assert_eq!(s.peak_len(), 2);
-        assert_eq!(s.events_per_sec(0.0), 0.0);
-        assert_eq!(s.events_per_sec(2.0), 1.0);
     }
 
     #[test]

@@ -326,6 +326,15 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Returns the next byte without consuming it (an enum tag that
+    /// decides which codec reads the value).
+    pub fn peek_u8(&self) -> Result<u8, SnapError> {
+        self.buf
+            .get(self.pos)
+            .copied()
+            .ok_or(SnapError::Truncated { needed: 1 })
+    }
+
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, SnapError> {
         let b = self.take(2)?;
@@ -946,6 +955,7 @@ mod tests {
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(r.peek_u8().unwrap(), 7);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 513);
         assert_eq!(r.u32().unwrap(), 70_000);
@@ -961,6 +971,7 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.opt_u64().unwrap(), Some(5));
         assert_eq!(r.opt_u64().unwrap(), None);
+        assert_eq!(r.peek_u8(), Err(SnapError::Truncated { needed: 1 }));
         r.finish().unwrap();
     }
 
